@@ -74,13 +74,17 @@ class CascadeState:
     """Picklable cascade characterization shipped to wafer workers.
 
     ``bands`` maps (stage, vdd) to the stage's acceptance band and
-    predictive fit; ``calibration`` is the signature-curve table.  The
-    wafer parent builds both once (:meth:`CascadeScreen.prepare`) and
-    every worker inherits them instead of re-solving.
+    predictive fit; ``calibration`` is the signature-curve table;
+    ``stage_names`` names the ladder.  The wafer parent builds all three
+    once (:meth:`CascadeScreen.prepare`) and every worker inherits them
+    instead of re-solving -- and instead of re-deriving stage names from
+    its rebound engine factories, which would count stage 0 under the
+    wrapper's name.
     """
 
     bands: Dict[Tuple[int, float], StageBand] = field(default_factory=dict)
     calibration: Optional[CalibrationTable] = None
+    stage_names: Tuple[str, ...] = ()
 
 
 class CascadeScreen:
@@ -150,7 +154,10 @@ class CascadeScreen:
         self._factories: List[Callable[[float], Any]] = [
             as_engine_factory(entry) for entry in ladder
         ]
-        self.stage_names = self._name_stages(ladder)
+        self.stage_names = (
+            list(state.stage_names) if state and state.stage_names
+            else self._name_stages(ladder)
+        )
         self._engines: Dict[Tuple[int, float], Any] = {}
         self._bands: Dict[Tuple[int, float], StageBand] = (
             dict(state.bands) if state else {}
@@ -282,7 +289,8 @@ class CascadeScreen:
     def export_state(self) -> CascadeState:
         """Picklable snapshot of the characterization built so far."""
         return CascadeState(
-            bands=dict(self._bands), calibration=self._table
+            bands=dict(self._bands), calibration=self._table,
+            stage_names=tuple(self.stage_names),
         )
 
     def stage0_bands(self) -> Dict[float, Any]:

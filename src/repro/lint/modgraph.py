@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 __all__ = [
     "ModuleGraph",
@@ -270,13 +270,3 @@ def relpath(path: Path, root: Optional[Path] = None) -> str:
         return str(path.resolve().relative_to(base))
     except ValueError:
         return str(path)
-
-
-def enclosing_with_items(
-    stack: Sequence[ast.AST],
-) -> Iterator[Tuple[ast.withitem, ast.With]]:
-    """``with`` items of every With statement on an ancestor ``stack``."""
-    for node in stack:
-        if isinstance(node, ast.With):
-            for item in node.items:
-                yield item, node

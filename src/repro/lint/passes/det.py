@@ -1,7 +1,7 @@
 """DET: every random stream must be explicitly seeded.
 
-Migrated from ``tools/lint_determinism.py`` (PR 3) into the unified
-analyzer -- same rule ids, same semantics, one diagnostic schema.  The
+The one determinism lint of the repo, run by ``python -m repro.lint``
+with the other passes under one diagnostic schema.  The
 repo's headline reproducibility claim (sharded wafer screens are
 bit-identical to serial ones) only holds if no code path draws from an
 unseeded or implicitly-global random source.

@@ -34,13 +34,17 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.arena import Arena, ShippedPayload
 
-from repro.spice.linalg import BackendSpec
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.montecarlo import ProcessVariation, clamp_4sigma
 from repro.spice.netlist import Circuit
 from repro.spice.stamping import FetParams
 from repro.spice.staticcheck import preflight_circuit
-from repro.spice.stepper import TransientStepper, solve_dc_plan
+from repro.spice.stepper import (
+    StepMember,
+    TransientStepper,
+    solve_dc_plan,
+    validate_schedule,
+)
 from repro.spice.waveform import Waveform
 
 
@@ -249,13 +253,11 @@ class BatchedSimulation:
         circuit: Circuit,
         params: BatchParameters,
         options: Optional[NewtonOptions] = None,
-        backend: BackendSpec = "batched",
         preflight: bool = True,
     ):
         self.circuit = circuit
         self.params = params
         self.options = options or NewtonOptions()
-        self.backend = backend
         self.num_corners = params.num_corners
         # The scalar system provides the compiled plan (and legacy views).
         self.system = MnaSystem(circuit, self.options)
@@ -282,7 +284,7 @@ class BatchedSimulation:
         s = self.num_corners
 
         # Resistor conductances: shared across corners unless overridden
-        # (the solver backends broadcast a shared base matrix).
+        # (the linear solver broadcasts a shared base matrix).
         if params.resistor_values:
             res_names = [r.name for r in circuit.resistors]
             res_g = np.broadcast_to(
@@ -327,11 +329,31 @@ class BatchedSimulation:
             space,
             self.fets,
             self.options,
-            self.backend,
             num_corners=self.num_corners,
             t=0.0,
             ics=ics,
             a_linear=space.assemble_linear(self.res_g),
+        )
+
+    def step_member(
+        self,
+        record_idx: Dict[str, int],
+        ics: Optional[Dict[str, float]] = None,
+    ) -> StepMember:
+        """This simulation as a :class:`TransientStepper` member, started
+        from its DC operating point."""
+        x0 = self.solve_dc(ics=ics)
+        # Stepping runs in the condensed space: source-driven rails and
+        # inputs are eliminated, shrinking every per-step stacked solve.
+        space = self.plan.condensed
+        return StepMember(
+            space=space,
+            fets=self.fets,
+            cap_c=self.cap_c,
+            a_linear=space.assemble_linear(self.res_g),
+            bpin_linear=space.bpin_linear(self.res_g),
+            x0=x0,
+            record_idx=record_idx,
         )
 
     def transient(
@@ -344,31 +366,12 @@ class BatchedSimulation:
         max_retries: int = 4,
     ) -> BatchedResult:
         """Run the batched transient; see :func:`repro.spice.transient.transient`."""
-        if method not in ("trap", "be"):
-            raise ValueError(f"unknown integration method {method!r}")
-        if timestep <= 0 or stop_time <= 0:
-            raise ValueError("stop_time and timestep must be positive")
-        x = self.solve_dc(ics=ics)
-
+        validate_schedule(stop_time, timestep, method)
         record_nodes = list(record) if record is not None else self.circuit.nodes
         record_idx = {n: self.circuit.node_index(n) for n in record_nodes}
-
-        # Stepping runs in the condensed space: source-driven rails and
-        # inputs are eliminated, shrinking every per-step stacked solve.
-        space = self.plan.condensed
-        stepper = TransientStepper(
-            space=space,
-            fets=self.fets,
-            cap_c=self.cap_c,
-            a_linear=space.assemble_linear(self.res_g),
-            bpin_linear=space.bpin_linear(self.res_g),
-            options=self.options,
-            backend=self.backend,
-            num_corners=self.num_corners,
-        )
-        stepped = stepper.run(
-            stop_time, timestep, x, record_idx,
-            method=method, max_retries=max_retries,
+        member = self.step_member(record_idx, ics=ics)
+        (stepped,) = TransientStepper([member], self.options).run(
+            stop_time, timestep, method=method, max_retries=max_retries,
         )
         return BatchedResult(
             time=stepped.time,

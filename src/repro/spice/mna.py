@@ -10,7 +10,7 @@ its historical attribute surface (``a_linear``, ``fet_d``, ``source_rhs``,
 ``newton_solve``, ...) as thin views over the plan.
 
 The Newton-Raphson iteration itself lives in :mod:`repro.spice.stepper`
-(the *stepper layer*) and runs over pluggable linear-algebra backends from
+(the *stepper layer*) and runs over the linear solver of
 :mod:`repro.spice.linalg`; :meth:`MnaSystem.newton_solve` wraps it for the
 scalar full-matrix call signature older code and tests use.
 """
@@ -146,21 +146,18 @@ class MnaSystem:
         """
         # Deferred import: the stepper layer imports NewtonOptions and
         # ConvergenceError from this module.
-        from repro.spice.linalg import make_solver
-        from repro.spice.stepper import newton_iterate
+        from repro.spice.linalg import LinearSolver
+        from repro.spice.stepper import NewtonMember, newton_iterate
 
         # The reduced space keeps all unknowns except ground, ordered as
         # in the full vector, so ``a_base[1:, 1:]`` matches its layout.
-        space = self.plan.reduced
-        solver = make_solver("batched", space)
+        solver = LinearSolver(self.plan.reduced)
         solver.set_base(np.ascontiguousarray(a_base[1:, 1:]))
-        x = newton_iterate(
+        member = NewtonMember(
             solver,
-            space,
             self._nominal_fets,
             np.ascontiguousarray(b_base[1:])[None, :],
             np.asarray(v_guess, dtype=float)[None, :],
-            self.options,
-            label=label,
         )
+        (x,) = newton_iterate([member], self.options, label=label)
         return x[0]

@@ -2,36 +2,52 @@
 
 This is the *stepper layer* of the solver stack: one implementation of
 the damped Newton-Raphson loop, the gmin-stepping DC fallback, and the
-trapezoidal / backward-Euler integrator with local step bisection.  Both
-:func:`repro.spice.transient.transient` (scalar, as a batch of one) and
-:class:`repro.spice.batch.BatchedSimulation` are thin wrappers around
-:class:`TransientStepper`; neither carries integrator logic of its own.
+trapezoidal / backward-Euler integrator with step bisection.  Scalar
+:func:`repro.spice.transient.transient`, :class:`repro.spice.batch.BatchedSimulation`
+and the ragged packs of :mod:`repro.spice.ragged` are thin callers that
+hand :class:`TransientStepper` one or more *members*; none of them
+carries integrator logic of its own.
+
+A member is one compiled system: a
+:class:`~repro.spice.stamping.SolveSpace` plus (possibly per-corner)
+element values and its corners' state.  Members may differ in topology
+and dimension; they share one time grid, one trap/BE schedule, one
+bisection ladder and one Newton loop, in which the active systems of all
+members are solved grouped by solve dimension.  Stacking same-shape
+systems is bit-transparent per corner, so every member's trajectory is
+identical to running it alone.
 
 All state is batched: the solution ``x`` is ``(S, size)`` in *full*
 coordinates (ground row included, pinned nodes held at their known
 voltages), while matrices and RHS vectors handed to the
-:mod:`repro.spice.linalg` backends live in the coordinates of a
+:mod:`repro.spice.linalg` solver live in the coordinates of a
 :class:`~repro.spice.stamping.SolveSpace`.  DC analysis runs in the
 :attr:`~repro.spice.stamping.StampPlan.reduced` space (branch currents
 kept, so operating points report source currents); the transient loop
 runs in the :attr:`~repro.spice.stamping.StampPlan.condensed` space,
 where rail/input nodes driven by voltage sources are eliminated and the
 per-step LAPACK solve shrinks accordingly.  The Newton loop maintains a
-per-corner active set -- corners that have converged drop out of
-subsequent linearization, stamping, and solve work instead of being
-re-solved until the slowest corner finishes.
+per-member, per-corner active set -- corners that have converged drop
+out of subsequent linearization, stamping, and solve work instead of
+being re-solved until the slowest corner finishes.
+
+Failure handling is batch-global: the bisection retry and the Newton
+iteration budget engage on *any* member's or corner's failure, so
+failure handling (only) can couple the members of one run.  Callers
+needing strict per-member behaviour under failure re-solve members
+individually -- the screening service's retry-by-decomposition path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.spice.linalg import BackendSpec, LinearSolver, make_solver
+from repro.spice.linalg import LinearSolver, batched_dense_solve
 from repro.spice.mna import ConvergenceError, NewtonOptions
-from repro.spice.stamping import FetParams, SolveSpace
+from repro.spice.stamping import FetLinearization, FetParams, SolveSpace
 from repro.telemetry import get_telemetry
 
 #: Conductance used to clamp .IC nodes (siemens); standard SPICE ``.IC``.
@@ -50,11 +66,6 @@ def newton_update(
     opts: NewtonOptions,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One damped Newton acceptance step over the active corners.
-
-    The single implementation of the damping/convergence arithmetic,
-    shared by :func:`newton_iterate` and the ragged pack stepper
-    (:mod:`repro.spice.ragged`) so packed solves accept iterates with
-    bit-identical arithmetic to standalone solves.
 
     Args:
         xa: Current iterates, ``(A, size)`` full coordinates.
@@ -88,117 +99,197 @@ def newton_update(
     return xa, max_dv, worst, converged
 
 
-def newton_iterate(
-    solver: LinearSolver,
-    space: SolveSpace,
-    fets: Optional[FetParams],
-    b_base: np.ndarray,
-    x_guess: np.ndarray,
-    options: NewtonOptions,
-    label: str = "",
-    pinned: Optional[np.ndarray] = None,
-    fet_vpin: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Damped Newton-Raphson over a batch of corners.
+@dataclass
+class NewtonMember:
+    """One system of a Newton solve.
 
-    Args:
-        solver: Backend with the base matrix already installed.
-        space: Solve space the solver operates in.
-        fets: MOSFET parameters (``None`` or empty for linear circuits).
-        b_base: Linear part of the solve-space RHS, shape ``(S, dim)``
-            (pinned-column corrections already applied).
-        x_guess: Initial full solution vectors, shape ``(S, size)``.
-        options: Newton tuning knobs.
-        label: Context string for error messages.
+    Attributes:
+        solver: Linear solver with the member's base matrix installed;
+            its ``space`` is the solve space the member iterates in.
+        fets: MOSFET parameters (``None`` for linear circuits).
+        b: Linear part of the solve-space RHS, ``(S, dim)`` (pinned-column
+            corrections already applied).
+        x_guess: Initial full solution vectors, ``(S, size)``.
         pinned: Known voltages of the space's pinned nodes (``(P,)``);
             written into ``x`` before iterating.
         fet_vpin: Per-Jacobian-entry pinned voltages (from
             :meth:`SolveSpace.fet_pin_values`) for the nonlinear RHS
             correction; only needed when the space pins MOSFET terminals.
+    """
+
+    solver: LinearSolver
+    fets: Optional[FetParams]
+    b: np.ndarray
+    x_guess: np.ndarray
+    pinned: Optional[np.ndarray] = None
+    fet_vpin: Optional[np.ndarray] = None
+
+
+def _solve_by_dimension(
+    work: Sequence[Tuple[LinearSolver, np.ndarray, Optional[FetLinearization],
+                         np.ndarray]],
+) -> List[np.ndarray]:
+    """Solve ``(solver, b, lin, active)`` systems, one LAPACK call per
+    distinct solve dimension; one solution array per work item."""
+    if len(work) == 1:  # a scalar or batched run: no grouping needed
+        solver, b, lin, active = work[0]
+        return [solver.solve(b, lin, active)]
+    by_dim: Dict[int, List[int]] = {}
+    for i, (solver, _, _, _) in enumerate(work):
+        by_dim.setdefault(solver.space.dim, []).append(i)
+    sols: List[np.ndarray] = [np.empty(0)] * len(work)
+    for idxs in by_dim.values():
+        if len(idxs) == 1:
+            solver, b, lin, active = work[idxs[0]]
+            sols[idxs[0]] = solver.solve(b, lin, active)
+            continue
+        get_telemetry().incr("ragged.bucket_solves")
+        a_cat = np.concatenate([
+            solver.matrix(len(b), lin, active)
+            for solver, b, lin, active in (work[i] for i in idxs)
+        ])
+        sol = batched_dense_solve(
+            a_cat, np.concatenate([work[i][1] for i in idxs])
+        )
+        offset = 0
+        for i in idxs:
+            count = len(work[i][1])
+            sols[i] = sol[offset:offset + count]
+            offset += count
+    return sols
+
+
+def newton_iterate(
+    members: Sequence[NewtonMember],
+    options: NewtonOptions,
+    label: str = "",
+) -> List[np.ndarray]:
+    """Damped Newton-Raphson over the corners of every member.
+
+    Each member linearizes and stamps through its own solve space and
+    keeps its own active set; per iteration the active systems of all
+    members are solved together, grouped by solve dimension.
+
+    Args:
+        members: The systems to solve.
+        options: Newton tuning knobs.
+        label: Context string for error messages.
 
     Returns:
-        Converged full solution vectors ``(S, size)``.
+        Converged full solution vectors ``(S, size)``, one per member.
 
     Raises:
         ConvergenceError: If any corner fails to converge; carries the
-            failing corner indices and their final ``max_dv``.
+            failing corners (numbered consecutively across members),
+            their final ``max_dv`` and the worst-updating node names.
     """
     opts = options
-    num_corners = x_guess.shape[0]
-    plan = space.plan
-    num_nodes = plan.num_nodes
-    has_fets = fets is not None and plan.num_fets > 0
     tele = get_telemetry()
     tele.incr("newton_solves")
 
-    x = x_guess.copy()
-    x[:, 0] = 0.0
-    if pinned is not None and space.num_pinned:
-        x[:, space.pinned_nodes] = pinned
-    if space.dim == 0:
-        # Every node is pinned; nothing to solve.
-        return x
-    active = np.arange(num_corners)
-    last_dv = np.zeros(num_corners)
-    last_node = np.zeros(num_corners, dtype=np.intp)
+    xs: List[np.ndarray] = []
+    actives: List[np.ndarray] = []
+    for m in members:
+        space = m.solver.space
+        x = m.x_guess.copy()
+        x[:, 0] = 0.0
+        if m.pinned is not None and space.num_pinned:
+            x[:, space.pinned_nodes] = m.pinned
+        xs.append(x)
+        # A space with every node pinned has nothing to solve.
+        actives.append(np.arange(len(x) if space.dim else 0))
+    last_dv = [np.zeros(len(x)) for x in xs]
+    last_node = [np.zeros(len(x), dtype=np.intp) for x in xs]
 
+    live = [j for j, active in enumerate(actives) if len(active)]
     for _ in range(opts.max_iterations):
+        if not live:
+            return xs
         tele.incr("newton_iterations")
-        xa = x[active]
-        if has_fets:
-            fa = fets.select(active) if len(active) < num_corners else fets
-            lin = plan.linearize_fets(fa, xa)
-        else:
+        xas = []
+        work = []
+        for j in live:
+            m, active, x = members[j], actives[j], xs[j]
+            space = m.solver.space
+            plan = space.plan
+            xa = x[active]
             lin = None
-        b = b_base[active]
-        if lin is not None:
-            space.stamp_fet_rhs(b, lin)
-            if fet_vpin is not None:
-                space.stamp_fet_pin_rhs(b, lin, fet_vpin)
+            if m.fets is not None and plan.num_fets > 0:
+                fa = m.fets.select(active) if len(active) < len(x) else m.fets
+                lin = plan.linearize_fets(fa, xa)
+            b = m.b[active]
+            if lin is not None:
+                space.stamp_fet_rhs(b, lin)
+                if m.fet_vpin is not None:
+                    space.stamp_fet_pin_rhs(b, lin, m.fet_vpin)
+            xas.append(xa)
+            work.append((m.solver, b, lin, active))
         try:
-            sol = solver.solve(b, lin, active)
+            sols = _solve_by_dimension(work)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"singular MNA matrix during Newton solve ({label or 'unnamed'})",
-                corners=active.tolist(),
+                corners=_corner_ids(xs, actives),
             ) from exc
 
-        x_new = xa.copy()
-        x_new[:, space.kept] = sol
-        xa, max_dv, worst, converged = newton_update(xa, x_new, num_nodes, opts)
-        last_node[active] = worst
-        x[active] = xa
-        last_dv[active] = max_dv
-        if converged.all():
-            return x
-        active = active[~converged]
+        for j, xa, sol in zip(live, xas, sols):
+            space = members[j].solver.space
+            active = actives[j]
+            x_new = xa.copy()
+            x_new[:, space.kept] = sol
+            xa, max_dv, worst, converged = newton_update(
+                xa, x_new, space.plan.num_nodes, opts
+            )
+            xs[j][active] = xa
+            last_dv[j][active] = max_dv
+            last_node[j][active] = worst
+            actives[j] = active[~converged]
+        live = [j for j in live if len(actives[j])]
 
+    if not live:
+        return xs
     tele.incr("newton_failures")
     # Report the worst-updating unknown by its netlist *name* (node via
     # the circuit's reverse map) so the failure is actionable without
     # decoding MNA indices, and keep the failing corner ids attached.
-    node_names = plan.circuit.nodes
-    worst_nodes = [node_names[int(last_node[c])] for c in active]
+    corners = _corner_ids(xs, actives)
+    max_dv = np.concatenate([dv[a] for dv, a in zip(last_dv, actives)])
+    nodes = [
+        m.solver.space.plan.circuit.nodes[int(worst[c])]
+        for m, worst, active in zip(members, last_node, actives)
+        for c in active
+    ]
     failing = ", ".join(
-        f"corner {c}: max_dv={last_dv[c]:.3e} V at node {name!r}"
-        for c, name in zip(active[:8], worst_nodes[:8])
+        f"corner {c}: max_dv={dv:.3e} V at node {name!r}"
+        for c, dv, name in zip(corners[:8], max_dv[:8], nodes[:8])
     )
-    more = "" if len(active) <= 8 else f" (+{len(active) - 8} more)"
+    more = "" if len(corners) <= 8 else f" (+{len(corners) - 8} more)"
     raise ConvergenceError(
         f"Newton failed to converge after {opts.max_iterations} iterations "
-        f"({label or 'unnamed solve'}): {len(active)} of {num_corners} "
-        f"corners unconverged [{failing}{more}]",
-        corners=active.tolist(),
-        max_dv=last_dv[active].copy(),
-        nodes=worst_nodes,
+        f"({label or 'unnamed solve'}): {len(corners)} of "
+        f"{sum(len(x) for x in xs)} corners unconverged [{failing}{more}]",
+        corners=corners,
+        max_dv=max_dv,
+        nodes=nodes,
     )
+
+
+def _corner_ids(
+    xs: Sequence[np.ndarray], actives: Sequence[np.ndarray]
+) -> List[int]:
+    """Active corners numbered consecutively across members."""
+    ids: List[int] = []
+    offset = 0
+    for x, active in zip(xs, actives):
+        ids.extend(int(offset + c) for c in active)
+        offset += len(x)
+    return ids
 
 
 def solve_dc_plan(
     space: SolveSpace,
     fets: Optional[FetParams],
     options: NewtonOptions,
-    backend: BackendSpec,
     num_corners: int,
     t: float = 0.0,
     ics: Optional[Dict[str, float]] = None,
@@ -236,14 +327,16 @@ def solve_dc_plan(
                 continue
             a[..., idx, idx] += CLAMP_G
             b[..., idx] += CLAMP_G * voltage
-    solver = make_solver(backend, space)
+    solver = LinearSolver(space)
+
+    def solve(x: np.ndarray, label: str) -> np.ndarray:
+        member = NewtonMember(solver, fets, b, x, vpin, fet_vpin)
+        return newton_iterate([member], options, label=label)[0]
+
     solver.set_base(a)
     x0 = guess.copy() if guess is not None else np.zeros((num_corners, plan.size))
     try:
-        return newton_iterate(
-            solver, space, fets, b, x0, options,
-            label="dc", pinned=vpin, fet_vpin=fet_vpin,
-        )
+        return solve(x0, "dc")
     except ConvergenceError:
         pass
 
@@ -255,15 +348,17 @@ def solve_dc_plan(
         a_step = a.copy()
         a_step[..., diag, diag] += gstep
         solver.set_base(a_step)
-        x = newton_iterate(
-            solver, space, fets, b, x, options,
-            label=f"dc gmin={gstep:.1e}", pinned=vpin, fet_vpin=fet_vpin,
-        )
+        x = solve(x, f"dc gmin={gstep:.1e}")
     solver.set_base(a)
-    return newton_iterate(
-        solver, space, fets, b, x, options,
-        label="dc final", pinned=vpin, fet_vpin=fet_vpin,
-    )
+    return solve(x, "dc final")
+
+
+def validate_schedule(stop_time: float, timestep: float, method: str) -> None:
+    """Reject an unknown integration method or a non-positive time grid."""
+    if method not in ("trap", "be"):
+        raise ValueError(f"unknown integration method {method!r}")
+    if timestep <= 0 or stop_time <= 0:
+        raise ValueError("stop_time and timestep must be positive")
 
 
 @dataclass
@@ -274,52 +369,50 @@ class SteppedResult:
     traces: Dict[str, np.ndarray]
 
 
-class TransientStepper:
-    """Generic trap/BE integrator parameterized over a solver backend.
+#: Per-member integration state: ``(x, vc, ic)``.
+_State = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Per-member companion system for one step size: ``(solver, geq, B_pin)``.
+_Companion = Tuple[LinearSolver, np.ndarray, np.ndarray]
 
-    One instance simulates one compiled system: a
-    :class:`~repro.spice.stamping.SolveSpace` plus (possibly per-corner)
-    element values.  The integration scheme matches the historical
-    scalar engine: trapezoidal by default with a backward-Euler first
-    step, damped Newton with linear prediction of the next time point,
-    and local step bisection (backward Euler) on convergence failure.
+
+@dataclass
+class StepMember:
+    """One compiled system advanced by :class:`TransientStepper`.
+
+    Attributes:
+        space: Solve space of the time loop (normally the plan's
+            condensed space).
+        fets: MOSFET parameters (``None`` for linear circuits).
+        cap_c: Capacitances, ``(C,)`` shared or ``(S, C)`` per corner.
+        a_linear: The space's linear assembly, ``(m, m)`` or ``(S, m, m)``.
+        bpin_linear: Pinned-column correction of the linear assembly.
+        x0: Initial state (the DC operating point), ``(S, size)``.
+        record_idx: Node name -> full-vector index of recorded nodes.
     """
 
-    def __init__(
-        self,
-        space: SolveSpace,
-        fets: Optional[FetParams],
-        cap_c: np.ndarray,
-        a_linear: np.ndarray,
-        options: NewtonOptions,
-        backend: BackendSpec,
-        num_corners: int,
-        bpin_linear: Optional[np.ndarray] = None,
-    ):
-        self.space = space
-        self.plan = space.plan
-        self.fets = fets
-        self.cap_c = cap_c
-        self.a_linear = a_linear
-        if bpin_linear is None:
-            bpin_linear = space.bpin_linear()
-        self.bpin_linear = bpin_linear
-        self.options = options
-        self.backend = backend
-        self.num_corners = num_corners
+    space: SolveSpace
+    fets: Optional[FetParams]
+    cap_c: np.ndarray
+    a_linear: np.ndarray
+    bpin_linear: np.ndarray
+    x0: np.ndarray
+    record_idx: Dict[str, int]
 
-    # -- assembly helpers ------------------------------------------------
-    def _companion_matrix(
-        self, h: float, use_trap: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(base matrix, geq, B_pin): linear assembly plus companions."""
+    @property
+    def num_corners(self) -> int:
+        return self.x0.shape[0]
+
+    def companion(self, h: float, use_trap: bool) -> _Companion:
+        """(solver, geq, B_pin) for a step of ``h``: the linear assembly
+        plus capacitor companions installed as the solver's base."""
         space = self.space
         geq = companion_geq(self.cap_c, h, use_trap)
-        batched = self.a_linear.ndim == 3 or geq.ndim == 2
-        if batched:
+        if self.a_linear.ndim == 3 or geq.ndim == 2:
             m = space.dim
             a = np.broadcast_to(self.a_linear, (self.num_corners, m, m)).copy()
-            geq_a = np.broadcast_to(geq, (self.num_corners, self.plan.num_caps))
+            geq_a = np.broadcast_to(
+                geq, (self.num_corners, space.plan.num_caps)
+            )
         else:
             a = self.a_linear.copy()
             geq_a = geq
@@ -328,102 +421,83 @@ class TransientStepper:
             bpin = self.bpin_linear + space.bpin_capacitors(geq)
         else:
             bpin = self.bpin_linear
-        return a, geq, bpin
-
-    def _make_solver(
-        self, h: float, use_trap: bool
-    ) -> Tuple[LinearSolver, np.ndarray, np.ndarray]:
-        a, geq, bpin = self._companion_matrix(h, use_trap)
-        solver = make_solver(self.backend, self.space)
+        solver = LinearSolver(space)
         solver.set_base(a)
         return solver, geq, bpin
 
-    # -- stepping --------------------------------------------------------
-    def _assemble_rhs(
+
+class TransientStepper:
+    """The trap/BE integrator over a list of members.
+
+    The integration scheme matches the historical scalar engine:
+    trapezoidal by default with a backward-Euler first step, damped
+    Newton with linear prediction of the next time point, and step
+    bisection (backward Euler) on convergence failure.  A step that
+    fails for any member is halved for all.
+    """
+
+    def __init__(self, members: Sequence[StepMember], options: NewtonOptions):
+        if not members:
+            raise ValueError("a transient needs at least one member")
+        self.members = list(members)
+        self.options = options
+
+    def _companions(self, h: float, use_trap: bool) -> List[_Companion]:
+        return [m.companion(h, use_trap) for m in self.members]
+
+    def _step(
         self,
-        geq: np.ndarray,
-        bpin: np.ndarray,
+        states: List[_State],
+        comps: List[_Companion],
         use_trap: bool,
         t_new: float,
-        vc: np.ndarray,
-        ic: np.ndarray,
-    ) -> Tuple[
-        np.ndarray, Optional[np.ndarray], Optional[np.ndarray], np.ndarray
-    ]:
-        """Linear RHS of one time step: sources, pinned columns, companions.
-
-        Returns ``(b, vpin, fet_vpin, ieq)``; also the reuse point for
-        the ragged pack stepper, which assembles each member through its
-        own :class:`TransientStepper` and shares only the Newton loop.
-        """
-        space = self.space
-        b = np.zeros((self.num_corners, space.dim))
-        space.source_rhs_into(b, t_new)
-        vpin = None
-        fet_vpin = None
-        if space.num_pinned:
-            vpin = space.pinned_voltages(t_new)
-            b -= bpin @ vpin
-            if space.has_fet_pins:
-                fet_vpin = space.fet_pin_values(vpin)
-        ieq = geq * vc + ic if use_trap else geq * vc
-        space.stamp_capacitor_rhs(b, ieq)
-        return b, vpin, fet_vpin, ieq
-
-    def _cap_state(
-        self,
-        x_new: np.ndarray,
-        geq: np.ndarray,
-        ieq: np.ndarray,
-        vc: np.ndarray,
-        use_trap: bool,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Next capacitor state ``(vc, ic)`` after an accepted step."""
-        plan = self.plan
-        vc_new = x_new[:, plan.cap_n1] - x_new[:, plan.cap_n2]
-        ic_new = geq * vc_new - ieq if use_trap else geq * (vc_new - vc)
-        return vc_new, ic_new
-
-    def _single_step(
-        self,
-        solver: LinearSolver,
-        geq: np.ndarray,
-        bpin: np.ndarray,
-        use_trap: bool,
-        t_new: float,
-        x_guess: np.ndarray,
-        vc: np.ndarray,
-        ic: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        b, vpin, fet_vpin, ieq = self._assemble_rhs(
-            geq, bpin, use_trap, t_new, vc, ic
-        )
-        x_new = newton_iterate(
-            solver, self.space, self.fets, b, x_guess, self.options,
-            label=f"tran t={t_new:.3e}", pinned=vpin, fet_vpin=fet_vpin,
-        )
-        vc_new, ic_new = self._cap_state(x_new, geq, ieq, vc, use_trap)
-        return x_new, vc_new, ic_new
+        guesses: List[np.ndarray],
+    ) -> List[_State]:
+        """One time step for every member (or ConvergenceError)."""
+        newton: List[NewtonMember] = []
+        ieqs: List[np.ndarray] = []
+        for m, (_, vc, ic), (solver, geq, bpin), guess in zip(
+            self.members, states, comps, guesses
+        ):
+            # Linear RHS: sources, pinned columns, capacitor companions.
+            space = m.space
+            b = np.zeros((m.num_corners, space.dim))
+            space.source_rhs_into(b, t_new)
+            vpin = None
+            fet_vpin = None
+            if space.num_pinned:
+                vpin = space.pinned_voltages(t_new)
+                b -= bpin @ vpin
+                if space.has_fet_pins:
+                    fet_vpin = space.fet_pin_values(vpin)
+            ieq = geq * vc + ic if use_trap else geq * vc
+            space.stamp_capacitor_rhs(b, ieq)
+            newton.append(NewtonMember(solver, m.fets, b, guess, vpin, fet_vpin))
+            ieqs.append(ieq)
+        xs = newton_iterate(newton, self.options, label=f"tran t={t_new:.3e}")
+        out: List[_State] = []
+        for m, x, (_, vc, _), (_, geq, _), ieq in zip(
+            self.members, xs, states, comps, ieqs
+        ):
+            plan = m.space.plan
+            vc_new = x[:, plan.cap_n1] - x[:, plan.cap_n2]
+            ic_new = geq * vc_new - ieq if use_trap else geq * (vc_new - vc)
+            out.append((x, vc_new, ic_new))
+        return out
 
     def _advance(
         self,
-        x: np.ndarray,
-        vc: np.ndarray,
-        ic: np.ndarray,
+        states: List[_State],
         t_from: float,
         t_to: float,
-        solver: LinearSolver,
-        geq: np.ndarray,
-        bpin: np.ndarray,
+        comps: List[_Companion],
         use_trap: bool,
-        x_guess: np.ndarray,
+        guesses: List[np.ndarray],
         max_retries: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance one step, bisecting locally on convergence failure."""
+    ) -> List[_State]:
+        """Advance one step, bisecting on convergence failure."""
         try:
-            return self._single_step(
-                solver, geq, bpin, use_trap, t_to, x_guess, vc, ic
-            )
+            return self._step(states, comps, use_trap, t_to, guesses)
         except ConvergenceError:
             if max_retries <= 0:
                 raise
@@ -432,74 +506,71 @@ class TransientStepper:
             tele.incr("step_retries")
             tele.incr("step_halvings", 2)
             h_half = (t_to - t_from) / 2.0
-            solver_h, geq_h, bpin_h = self._make_solver(h_half, use_trap=False)
+            comps_h = self._companions(h_half, use_trap=False)
             t_mid = t_from + h_half
-            x, vc, ic = self._advance(
-                x, vc, ic, t_from, t_mid, solver_h, geq_h, bpin_h,
-                use_trap=False, x_guess=x, max_retries=max_retries - 1,
+            states = self._advance(
+                states, t_from, t_mid, comps_h, False,
+                [x for x, _, _ in states], max_retries - 1,
             )
             return self._advance(
-                x, vc, ic, t_mid, t_to, solver_h, geq_h, bpin_h,
-                use_trap=False, x_guess=x, max_retries=max_retries - 1,
+                states, t_mid, t_to, comps_h, False,
+                [x for x, _, _ in states], max_retries - 1,
             )
 
     def run(
         self,
         stop_time: float,
         timestep: float,
-        x0: np.ndarray,
-        record_idx: Dict[str, int],
         method: str = "trap",
         max_retries: int = 4,
-    ) -> SteppedResult:
-        """Integrate from the initial state ``x0`` (``(S, size)``).
+    ) -> List[SteppedResult]:
+        """Integrate every member from its initial state ``x0``.
 
-        Records the node voltages named by ``record_idx`` on the uniform
-        grid ``0, h, ..., <= stop_time`` as ``(S, T)`` arrays.
+        Records each member's ``record_idx`` node voltages on the
+        uniform grid ``0, h, ..., <= stop_time`` as ``(S, T)`` arrays;
+        one result per member, in member order.
         """
-        if method not in ("trap", "be"):
-            raise ValueError(f"unknown integration method {method!r}")
-        if timestep <= 0 or stop_time <= 0:
-            raise ValueError("stop_time and timestep must be positive")
-        plan = self.plan
+        validate_schedule(stop_time, timestep, method)
         num_steps = int(round(stop_time / timestep))
         times = np.arange(num_steps + 1) * timestep
 
-        traces = {
-            node: np.empty((self.num_corners, num_steps + 1))
-            for node in record_idx
-        }
-        x = x0
-        for node, idx in record_idx.items():
-            traces[node][:, 0] = x[:, idx]
-
-        vc = x[:, plan.cap_n1] - x[:, plan.cap_n2]
-        ic = np.zeros_like(vc)
+        traces = [
+            {node: np.empty((m.num_corners, num_steps + 1))
+             for node in m.record_idx}
+            for m in self.members
+        ]
+        states: List[_State] = []
+        for m, trace in zip(self.members, traces):
+            x = m.x0
+            for node, idx in m.record_idx.items():
+                trace[node][:, 0] = x[:, idx]
+            vc = x[:, m.space.plan.cap_n1] - x[:, m.space.plan.cap_n2]
+            states.append((x, vc, np.zeros_like(vc)))
 
         use_trap_default = method == "trap"
-        solver_be, geq_be, bpin_be = self._make_solver(timestep, use_trap=False)
-        if use_trap_default:
-            solver_trap, geq_trap, bpin_trap = self._make_solver(
-                timestep, use_trap=True
-            )
+        comps_be = self._companions(timestep, use_trap=False)
+        comps_trap = (
+            self._companions(timestep, use_trap=True)
+            if use_trap_default else comps_be
+        )
 
-        x_prev = x
+        x_prev = [x for x, _, _ in states]
         for k in range(1, num_steps + 1):
-            t_new = times[k]
             # First step uses BE to avoid trapezoidal ringing from DC.
             trap_now = use_trap_default and k > 1
-            if trap_now:
-                solver, geq, bpin = solver_trap, geq_trap, bpin_trap
-            else:
-                solver, geq, bpin = solver_be, geq_be, bpin_be
             # Linear prediction of the next time point speeds Newton up.
-            x_guess = 2.0 * x - x_prev if k > 1 else x
-            x_prev = x
-            x, vc, ic = self._advance(
-                x, vc, ic, times[k - 1], t_new, solver, geq, bpin,
-                use_trap=trap_now, x_guess=x_guess, max_retries=max_retries,
+            guesses = [
+                2.0 * x - xp if k > 1 else x
+                for (x, _, _), xp in zip(states, x_prev)
+            ]
+            x_prev = [x for x, _, _ in states]
+            states = self._advance(
+                states, times[k - 1], times[k],
+                comps_trap if trap_now else comps_be,
+                trap_now, guesses, max_retries,
             )
-            for node, idx in record_idx.items():
-                traces[node][:, k] = x[:, idx]
+            for m, trace, (x, _, _) in zip(self.members, traces, states):
+                for node, idx in m.record_idx.items():
+                    trace[node][:, k] = x[:, idx]
 
-        return SteppedResult(time=times, traces=traces)
+        return [SteppedResult(time=times, traces=trace) for trace in traces]

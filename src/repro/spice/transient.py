@@ -13,8 +13,7 @@ metastable equilibrium.
 
 The integration loop itself is the shared
 :class:`repro.spice.stepper.TransientStepper`; this function is the
-scalar wrapper (a batch of one corner) and defaults to the cached-LU
-linear-algebra backend.
+scalar wrapper (one member with one corner).
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.spice.dc import solve_dc
-from repro.spice.linalg import BackendSpec
 from repro.spice.mna import MnaSystem, NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.staticcheck import preflight_circuit
-from repro.spice.stepper import TransientStepper
+from repro.spice.stepper import StepMember, TransientStepper, validate_schedule
 from repro.spice.waveform import Waveform
 
 
@@ -57,7 +55,6 @@ def transient(
     record: Optional[Iterable[str]] = None,
     options: Optional[NewtonOptions] = None,
     max_retries: int = 4,
-    backend: BackendSpec = "dense_lu",
     preflight: bool = True,
 ) -> TransientResult:
     """Run a transient analysis of ``circuit``.
@@ -73,8 +70,6 @@ def transient(
         options: Newton solver options.
         max_retries: On a non-convergent step, the step is retried with a
             locally halved timestep up to this many times.
-        backend: Linear-solver backend name or class
-            (see :mod:`repro.spice.linalg`).
         preflight: Run the :mod:`repro.spice.staticcheck` analyzer and
             reject ill-posed circuits (floating nodes, source loops,
             structural singularities) with a named-element
@@ -85,10 +80,7 @@ def transient(
         A :class:`TransientResult` with voltages sampled on the uniform
         time grid ``0, h, 2h, ... <= stop_time``.
     """
-    if method not in ("trap", "be"):
-        raise ValueError(f"unknown integration method {method!r}")
-    if timestep <= 0 or stop_time <= 0:
-        raise ValueError("stop_time and timestep must be positive")
+    validate_schedule(stop_time, timestep, method)
 
     system = MnaSystem(circuit, options)
     plan = system.plan
@@ -104,18 +96,17 @@ def transient(
     # Stepping runs in the condensed space: source-driven rails and
     # inputs are eliminated, shrinking every per-step linear solve.
     space = plan.condensed
-    stepper = TransientStepper(
+    member = StepMember(
         space=space,
-        fets=plan.nominal_fets() if plan.num_fets else None,
+        fets=plan.nominal_fets(),
         cap_c=plan.cap_c0,
         a_linear=space.assemble_linear(),
-        options=system.options,
-        backend=backend,
-        num_corners=1,
+        bpin_linear=space.bpin_linear(),
+        x0=x[None, :],
+        record_idx=record_idx,
     )
-    stepped = stepper.run(
-        stop_time, timestep, x[None, :], record_idx,
-        method=method, max_retries=max_retries,
+    (stepped,) = TransientStepper([member], system.options).run(
+        stop_time, timestep, method=method, max_retries=max_retries,
     )
     return TransientResult(
         time=stepped.time,

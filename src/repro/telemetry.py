@@ -2,10 +2,9 @@
 
 The screening engine's scaling work needs visibility into *where*
 simulation time goes: how many Newton iterations each transient burns,
-how often the integrator bisects a step, whether the cached-LU backend
-is riding its Woodbury fast path or refactorizing, and how well the
-solve cache is doing.  This module is the one place those numbers
-accumulate.
+how often the integrator bisects a step, how many stacked LAPACK solves
+run, and how well the solve cache is doing.  This module is the one
+place those numbers accumulate.
 
 This module *is* the canonical import path.  It lives at the top level
 (dependency-free) so the :mod:`repro.spice` solver layers can import it
@@ -23,70 +22,9 @@ Design constraints:
   a ``with`` block, so benches can isolate one run's counters without
   threading a registry argument through every call site.
 
-Counter names used by the stack (all optional -- absent means zero):
-
-=========================  ====================================================
-``newton_solves``          Calls into the shared Newton loop.
-``newton_iterations``      Newton loop passes (summed over solves).
-``newton_failures``        Solves that exhausted ``max_iterations``.
-``step_retries``           Transient steps that failed and were retried.
-``step_halvings``          Half-steps taken by the local bisection fallback.
-``lu_refactorizations``    Base-matrix LU factorizations (DenseLU).
-``woodbury_updates``       Low-rank Sherman-Morrison-Woodbury solves.
-``woodbury_fallbacks``     Woodbury results rejected by the residual guard.
-``dense_solves``           Full dense assemble-and-solve calls.
-``batched_solves``         Stacked LAPACK solve calls (BatchedDense).
-``cache_hits``             Solve-cache lookups served from memory.
-``cache_misses``           Solve-cache lookups that had to compute.
-``cache_evictions``        Entries evicted by a bounded solve cache.
-``cache_store_errors``     Persistent-cache corruption events (checksum
-                           failures, sqlite errors; the store degrades to
-                           recompute instead of crashing).
-``measurements``           Simulated DeltaT measurements (screening flow).
-``dies_screened``          Dies completed by the screening/wafer engines.
-``dies_rejected``          Dies the pre-flight check disqualified before
-                           dispatch (wafer engine).
-``diag_emitted.<rule>``    Static-analysis diagnostics emitted, per rule id
-                           (:mod:`repro.spice.staticcheck`).
-``diag_suppressed.<rule>`` Emitted diagnostics a fail-fast gate let through
-                           (severity below the gate's threshold).
-``service.*``              Screening-service request accounting
-                           (:mod:`repro.service`): ``submitted``,
-                           ``completed``, ``rejected``, ``expired``,
-                           ``failed``, ``batches``, ``batch_retries``,
-                           ``coalesced``, ``engine_cache_evicted``.
-``arena.*``                Shared-memory segment lifecycle of the process
-                           worker transport (:mod:`repro.service.arena`):
-                           ``created``, ``attached``, ``unlinked``,
-                           ``leaked``.
-``service.cascade.<s>``    Completed service requests tagged with cascade
-                           fidelity stage ``<s>`` (the ``cascade_stage``
-                           request tag).
-``cascade.stage.<s>``      TSV screening passes executed at cascade stage
-                           ``<s>`` (:mod:`repro.cascade`).
-``cascade.escalations.*``  Cascade escalations by reason: ``near_band``,
-                           ``low_agreement``, ``novel``, ``preflight``.
-``compiler.*``             DfT-architecture compiler accounting
-                           (:mod:`repro.compiler`): ``compiled``,
-                           ``failed``, ``verified_circuits``,
-                           ``sweep_variants``, ``stream_requests``.
-=========================  ====================================================
-
-Histogram names used by the screening service (latency distributions;
-``*_s`` suffixed names hold seconds, the rest are unitless):
-
-==========================  ===================================================
-``service.queue_wait_s``    Admission-queue residency per request.
-``service.batch_form_s``    Micro-batcher residency (batch forming + dispatch
-                            queue) per request.
-``service.solve_s``         Engine solve time per batch.
-``service.post_s``          Post-processing (result fan-out) per batch.
-``service.total_s``         Submit-to-response latency per request.
-``service.transport_s``     Shared-memory serialize/deserialize time per
-                            batch (process transport; zero under threads).
-``service.batch_occupancy`` Requests coalesced into each dispatched batch.
-``arena.segment_bytes``     Bytes per created shared-memory segment.
-==========================  ===================================================
+Every metric name the stack increments or observes is declared in
+:data:`METRICS` (absent from a registry means zero); the tables below
+are generated from it when the module loads, so they cannot drift.
 """
 
 from __future__ import annotations
@@ -387,8 +325,7 @@ class Telemetry:
 # ----------------------------------------------------------------------
 # Metric declarations.  Flat (un-dotted) names are grandfathered as
 # legacy; everything added since the registry exists is namespaced
-# ``layer.metric``.  Keep this list in sync with the docstring tables
-# above -- the TEL lint pass fails on any name missing here.
+# ``layer.metric``.  The TEL lint pass fails on any name missing here.
 # ----------------------------------------------------------------------
 for _name, _desc in [
     ("newton_solves", "calls into the shared Newton loop"),
@@ -396,13 +333,7 @@ for _name, _desc in [
     ("newton_failures", "solves that exhausted max_iterations"),
     ("step_retries", "transient steps that failed and were retried"),
     ("step_halvings", "half-steps taken by the bisection fallback"),
-    ("lu_refactorizations", "base-matrix LU factorizations (DenseLU)"),
-    ("woodbury_updates", "low-rank Sherman-Morrison-Woodbury solves"),
-    ("woodbury_fallbacks", "Woodbury results rejected by the residual guard"),
-    ("dense_solves", "full dense assemble-and-solve calls"),
-    ("batched_solves", "stacked LAPACK solve calls (BatchedDense)"),
-    ("sparse_refactorizations", "sparse LU factorizations (SparseLU)"),
-    ("sparse_pattern_misses", "sparse solves outside the compiled pattern"),
+    ("batched_solves", "stacked LAPACK solve calls"),
     ("cache_hits", "solve-cache lookups served from memory"),
     ("cache_misses", "solve-cache lookups that had to compute"),
     ("cache_evictions", "entries evicted by a bounded solve cache"),
@@ -419,8 +350,8 @@ for _name, _desc in [
                           "let through"),
     ("measure.*", "measurement-envelope calls, per engine name"),
     ("ragged.packs", "ragged cross-topology packs built"),
-    ("ragged.bucket_solves", "dimension-bucketed stacked solves"),
-    ("ragged.padded_solves", "members solved identity-padded"),
+    ("ragged.bucket_solves", "stacked solves shared by several pack "
+                             "members of one dimension"),
     ("cascade.stage.*", "TSV screening passes per cascade stage"),
     ("cascade.escalations.*", "cascade escalations by reason"),
     ("compiler.compiled", "die specs compiled into verified architectures"),
@@ -438,7 +369,7 @@ for _name, _desc in [
 for _name, _desc in [
     ("ragged.pack_members", "members coalesced into each ragged pack"),
     ("ragged.pack_corners", "stacked corners per ragged pack"),
-    ("ragged.pad_waste", "padded-solve waste fraction per pack"),
+    ("ragged.pad_waste", "identity-padding waste fraction per pack"),
     ("stagedelay.family_span", "exact-key subgroups per family batch"),
 ]:
     register_metric(_name, "histogram", "telemetry", _desc)
@@ -472,6 +403,27 @@ for _name, _kind, _desc in [
     ("arena.segment_bytes", "histogram", "bytes per created segment"),
 ]:
     register_metric(_name, _kind, "service", _desc)
+
+
+
+def _metric_tables() -> str:
+    """The module docstring's metric tables, rendered from :data:`METRICS`."""
+    out = []
+    for kind, title in (("counter", "Counters"), ("histogram", "Histograms")):
+        rows = [
+            (f"``{spec.name}``", spec.description)
+            for spec in METRICS.values() if spec.kind == kind
+        ]
+        width = max(len(name) for name, _ in rows)
+        rule = "=" * width + "  " + "=" * max(len(d) for _, d in rows)
+        out += ["", f"{title} ({len(rows)}):", "", rule]
+        out += [f"{name:<{width}}  {desc}" for name, desc in rows]
+        out.append(rule)
+    return "\n".join(out) + "\n"
+
+
+if __doc__ is not None:  # docstrings are stripped under ``python -OO``
+    __doc__ += _metric_tables()
 
 
 #: The process-current registry; swap with :func:`use_telemetry`.

@@ -1,12 +1,11 @@
-"""Cross-backend contracts of the unified MNA solver stack.
+"""Contracts of the unified MNA solver stack.
 
-Every registered linear-algebra backend must produce the same physics:
-the Fig. 4 ring oscillator's period and a leaky stage's propagation
-delays may differ between backends only at solver tolerance (well below
-0.1 ps, the paper's measurement resolution).  The module also pins the
-structural claims of the refactor: scalar and S=1 batched assemblies are
-bit-identical, the scalar/batched wrappers carry no integrator logic of
-their own, and :class:`ConvergenceError` reports per-corner diagnostics.
+Scalar ``transient()``, :class:`BatchedSimulation` and ragged packs all
+run through one linear solver, one Newton loop and one time loop.  The
+module pins the structural claims of that design: scalar and S=1 batched
+assemblies are bit-identical, the scalar/batched/ragged wrappers carry
+no integrator logic of their own, the DeltaT goldens hold on every path,
+and :class:`ConvergenceError` reports per-corner diagnostics.
 """
 
 import inspect
@@ -18,29 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.spice.batch as batch_module
+import repro.spice.ragged as ragged_module
 import repro.spice.transient as transient_module
-from repro.core.segments import RingOscillatorConfig, build_ring_oscillator
 from repro.core.tsv import Leakage, ResistiveOpen, Tsv
-from repro.spice import (
-    Circuit,
-    DenseLU,
-    StampPlan,
-    available_backends,
-    make_solver,
-    transient,
-)
+from repro.spice import Circuit, LinearSolver, StampPlan
 from repro.spice.mna import ConvergenceError, MnaSystem, NewtonOptions
 from repro.spice.mosfet import NMOS_45LP, PMOS_45LP
-
-BACKENDS = sorted(available_backends())
-
-#: Cross-backend agreement bound: far below the paper's 0.1 ps resolution.
-PERIOD_TOL = 0.1e-12
-
-
-def _build_oscillator():
-    config = RingOscillatorConfig(num_segments=2)
-    return build_ring_oscillator([Tsv()] * 2, config)
+from repro.spice.stepper import NewtonMember, newton_iterate
 
 
 def _leakage_stage():
@@ -52,46 +35,6 @@ def _leakage_stage():
         Tsv(fault=Leakage(20e3)), bypassed=False
     )
     return engine, circuit
-
-
-class TestBackendEquivalence:
-    def _periods(self, backend_names):
-        ro = _build_oscillator()
-        periods = {}
-        for name in backend_names:
-            result = transient(
-                ro.circuit, 6e-9, 2e-12,
-                ics=ro.startup_ics, record=[ro.osc_node], backend=name,
-            )
-            wave = result.waveform(ro.osc_node)
-            periods[name] = wave.period(ro.measurement_threshold)
-        return periods
-
-    def test_oscillator_period_identical_across_backends(self):
-        periods = self._periods(BACKENDS)
-        values = np.array(list(periods.values()))
-        assert values.min() > 0
-        spread = values.max() - values.min()
-        assert spread < PERIOD_TOL, f"backend periods disagree: {periods}"
-
-    def test_leakage_stage_delays_identical_across_backends(self):
-        engine, circuit = _leakage_stage()
-        half = engine.config.vdd / 2.0
-        delays = {}
-        for name in BACKENDS:
-            result = transient(
-                circuit, engine.stop_time(), engine.timestep,
-                record=["din", "dout"], backend=name,
-            )
-            t_in = result.waveform("din").crossings(half, "rise")[0]
-            t_out = result.waveform("dout").crossings(half, "rise")
-            t_out = t_out[t_out >= t_in][0]
-            delays[name] = t_out - t_in
-        values = np.array(list(delays.values()))
-        assert values.min() > 0
-        assert values.max() - values.min() < PERIOD_TOL, (
-            f"backend stage delays disagree: {delays}"
-        )
 
 
 class TestScalarBatchedAssemblyParity:
@@ -147,47 +90,6 @@ class TestScalarBatchedAssemblyParity:
         assert np.array_equal(b1, b2[0])
 
 
-class TestDenseLuWoodbury:
-    """The low-rank update path must agree with the direct dense solve."""
-
-    def _few_fet_circuit(self):
-        """One inverter into a long RC ladder: F=2 devices, many nodes."""
-        circuit = Circuit("woodbury")
-        circuit.add_vsource("vdd", "vdd", "0", 1.1)
-        from repro.spice.elements import Pulse
-
-        circuit.add_vsource(
-            "vin", "in", "0",
-            Pulse(0.0, 1.1, delay=0.1e-9, rise=20e-12, fall=20e-12,
-                  width=1e-9),
-        )
-        circuit.add_mosfet("mp", "out0", "in", "vdd", "vdd",
-                           PMOS_45LP, w=0.4e-6)
-        circuit.add_mosfet("mn", "out0", "in", "0", "0",
-                           NMOS_45LP, w=0.2e-6)
-        prev = "out0"
-        for k in range(8):
-            node = f"n{k}"
-            circuit.add_resistor(f"r{k}", prev, node, 500.0)
-            circuit.add_capacitor(f"c{k}", node, "0", 5e-15)
-            prev = node
-        return circuit
-
-    def test_woodbury_path_is_active_and_agrees_with_dense(self):
-        circuit = self._few_fet_circuit()
-        plan = StampPlan(circuit, gmin=1e-9)
-        solver = make_solver("dense_lu", plan.condensed)
-        assert isinstance(solver, DenseLU)
-        assert solver._use_woodbury, (
-            "expected the low-rank path for F=2 devices on a large ladder"
-        )
-        lu = transient(circuit, 2e-9, 2e-12, record=["n7"],
-                       backend="dense_lu")
-        dense = transient(circuit, 2e-9, 2e-12, record=["n7"],
-                          backend="dense")
-        assert np.abs(lu.voltages["n7"] - dense.voltages["n7"]).max() < 1e-9
-
-
 class TestConvergenceDiagnostics:
     def _nonlinear_system(self):
         circuit = Circuit("diag")
@@ -215,6 +117,27 @@ class TestConvergenceDiagnostics:
         assert len(err.nodes) == 1
         assert err.nodes[0] in ("vdd", "out")
         assert f"at node {err.nodes[0]!r}" in str(err)
+
+    def test_multi_member_error_numbers_corners_across_members(self):
+        system = self._nonlinear_system()
+        plan = system.plan
+        space = plan.reduced
+        members = []
+        for num in (2, 3):
+            solver = LinearSolver(space)
+            solver.set_base(space.assemble_linear())
+            b = np.zeros((num, space.dim))
+            space.source_rhs_into(b, 0.0)
+            members.append(NewtonMember(
+                solver, plan.nominal_fets(), b, np.zeros((num, plan.size))
+            ))
+        with pytest.raises(ConvergenceError) as excinfo:
+            newton_iterate(members, system.options, label="pack")
+        err = excinfo.value
+        assert err.corners == [0, 1, 2, 3, 4]
+        assert err.max_dv.shape == (5,) and (err.max_dv > 0).all()
+        assert len(err.nodes) == 5
+        assert "5 of 5 corners" in str(err)
 
 
 class TestGoldenDeltaTParity:
@@ -284,102 +207,22 @@ class TestGoldenDeltaTParity:
 
 
 class TestNoDuplicatedIntegratorLogic:
-    """The scalar/batched wrappers must not re-implement the stepper."""
+    """The scalar/batched/ragged wrappers must not re-implement the stepper."""
 
-    @pytest.mark.parametrize("module", [transient_module, batch_module])
+    @pytest.mark.parametrize(
+        "module", [transient_module, batch_module, ragged_module]
+    )
     def test_wrappers_delegate_to_shared_stepper(self, module):
         source = inspect.getsource(module)
         assert "TransientStepper" in source
-        # No inner linear solves or companion-model math of their own.
-        for token in ("np.linalg.solve", "geq", "ieq", "lu_factor"):
+        # No inner linear solves, companion-model math, Newton loop or
+        # step bisection of their own.
+        for token in (
+            "np.linalg.solve", "batched_dense_solve", "geq", "ieq",
+            "lu_factor", "max_iterations", "newton_update",
+            "newton_iterate", "step_halvings", "h_half",
+        ):
             assert token not in source, (
                 f"{module.__name__} re-implements integrator logic "
                 f"(found {token!r})"
             )
-
-
-class TestSparseBackend:
-    """The splu-cached CSC backend: pattern, auto-selection, goldens."""
-
-    def test_sparse_pattern_covers_every_stamp_target(self):
-        _, circuit = _leakage_stage()
-        space = StampPlan(circuit, gmin=1e-9).condensed
-        rows, cols = space.sparse_pattern()
-        # The static linear assembly must fit entirely in the pattern.
-        r, c = np.nonzero(space.a_static)
-        pattern = set(zip(rows.tolist(), cols.tolist()))
-        assert set(zip(r.tolist(), c.tolist())) <= pattern
-        # Plus the full diagonal (gmin / companion stamps land there).
-        assert all((d, d) in pattern for d in range(space.dim))
-
-    def test_auto_resolution_by_dimension(self):
-        from repro.spice.linalg import SPARSE_AUTO_DIM, resolve_backend
-
-        _, circuit = _leakage_stage()
-        space = StampPlan(circuit, gmin=1e-9).condensed
-        expected = "sparse" if space.dim >= SPARSE_AUTO_DIM else "dense_lu"
-        assert resolve_backend("auto", space) == expected
-        assert resolve_backend("dense", space) == "dense"
-
-    def test_make_solver_resolves_auto(self):
-        from repro.spice.linalg import SparseLU, DenseLU as _DenseLU
-
-        _, circuit = _leakage_stage()
-        space = StampPlan(circuit, gmin=1e-9).condensed
-        solver = make_solver("auto", space)
-        assert isinstance(solver, (SparseLU, _DenseLU))
-        assert isinstance(make_solver("sparse", space), SparseLU)
-
-
-class TestSparseGoldenParity:
-    """Sparse and dense LU reproduce the checked-in DeltaT goldens.
-
-    Same fixture and tolerances as :class:`TestGoldenDeltaTParity`, but
-    the transient runs through explicit backend choices: the sparse
-    factorization must agree with the dense LU within the cross-path
-    tolerance and both must stay on the goldens.
-    """
-
-    GOLDEN_TOL = 0.05e-12
-    CROSS_TOL = 0.01e-12
-
-    @pytest.fixture(scope="class")
-    def golden(self):
-        path = Path(__file__).parent.parent / "data" / "delta_t_parity.json"
-        return json.loads(path.read_text())
-
-    def _delta_t(self, engine, tsv, backend):
-        """Engine DeltaT with an explicit scalar solver backend."""
-        half = engine.config.vdd / 2.0
-        total = 0.0
-        deltas = []
-        for bypassed in (False, True):
-            circuit, _ = engine._segment_circuit(tsv, bypassed)
-            result = transient(
-                circuit, engine.stop_time(), engine.timestep,
-                record=["din", "dout"], backend=backend,
-            )
-            win = result.waveform("din")
-            wout = result.waveform("dout")
-            deltas.append(
-                win.propagation_delay_to(wout, half, edge_in="rise",
-                                         edge_out="rise")
-                + win.propagation_delay_to(wout, half, edge_in="fall",
-                                           edge_out="fall")
-            )
-        return deltas[0] - deltas[1]
-
-    def test_sparse_matches_dense_lu_and_goldens(self, golden):
-        from repro.core.engines import StageDelayEngine
-
-        engine = StageDelayEngine(timestep=golden["engine"]["timestep_s"])
-        probes = [(Tsv(), golden["scalar"]["fault_free"])] + [
-            (Tsv(fault=ResistiveOpen(r, golden["x_open"])), want)
-            for r, want in zip(golden["r_open_ohm"][:2],
-                               golden["scalar"]["open"][:2])
-        ]
-        for tsv, want in probes:
-            dense = self._delta_t(engine, tsv, "dense_lu")
-            sparse = self._delta_t(engine, tsv, "sparse")
-            assert sparse == pytest.approx(dense, abs=self.CROSS_TOL)
-            assert sparse == pytest.approx(want, abs=self.GOLDEN_TOL)

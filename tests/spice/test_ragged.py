@@ -1,17 +1,18 @@
-"""Ragged cross-topology packing: bit-identity, families, pack modes.
+"""Ragged cross-topology packing: bit-identity, families, pad waste.
 
 The contract under test is the one the screening service's family
 coalescing rests on: packing mixed-topology :class:`BatchedSimulation`
-members into one shared time loop (``pack="bucket"``) must reproduce
-every member's standalone ``transient()`` traces *bit-for-bit* -- not
-approximately -- because dimension-bucketed stacked LAPACK solves are
-per-corner transparent.  The padded single-solve mode only promises
-solver-precision agreement.
+members into one shared time loop must reproduce every member's
+standalone ``transient()`` traces *bit-for-bit* -- not approximately --
+because dimension-grouped stacked LAPACK solves are per-corner
+transparent.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.engines import StageDelayEngine
+from repro.core.tsv import Leakage, Tsv
 from repro.spice import (
     Circuit,
     DC,
@@ -21,6 +22,7 @@ from repro.spice import (
     Step,
     TopologyFamily,
     ragged_transient,
+    transient,
 )
 from repro.spice.batch import BatchParameters, BatchedSimulation
 from repro.spice.mna import NewtonOptions
@@ -101,6 +103,23 @@ class TestBucketBitIdentity:
         assert np.array_equal(
             solo.voltages["out"], packed[0].voltages["out"]
         )
+        # A production segment circuit through all three callers of the
+        # one solver path: scalar transient(), S=1 batch, one-member pack.
+        engine = StageDelayEngine(timestep=2e-12)
+        circuit, _ = engine._segment_circuit(
+            Tsv(fault=Leakage(20e3)), bypassed=False
+        )
+        args = (engine.stop_time(), engine.timestep)
+        record = ["din", "dout"]
+        scalar = transient(circuit, *args, record=record)
+        seg = BatchedSimulation(circuit, BatchParameters.nominal(1))
+        batched = seg.transient(*args, record=record)
+        (one,) = ragged_transient([seg], *args, record=record)
+        for node in record:
+            assert np.array_equal(scalar.voltages[node],
+                                  batched.voltages[node][0])
+            assert np.array_equal(batched.voltages[node],
+                                  one.voltages[node])
 
     def test_backward_euler_method_matches(self):
         sims = [
@@ -119,17 +138,7 @@ class TestBucketBitIdentity:
 
 
 class TestPadMode:
-    def test_padded_solves_agree_to_solver_precision(self):
-        sims = mixed_sims()
-        solo = [s.transient(400e-12, 1e-12, record=["out"]) for s in sims]
-        packed = ragged_transient(
-            sims, 400e-12, 1e-12, record=["out"], pack="pad"
-        )
-        for a, b in zip(solo, packed):
-            np.testing.assert_allclose(
-                b.voltages["out"], a.voltages["out"],
-                rtol=1e-6, atol=1e-9,
-            )
+    """The pad-waste model: how ragged a pack's dimensions are."""
 
     def test_pad_waste_model(self):
         sims = mixed_sims()
@@ -210,12 +219,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="node names"):
             ragged_transient(sims, 100e-12, 1e-12)
 
-    def test_unknown_pack_mode_rejected(self):
-        sims = [BatchedSimulation(rc_circuit(), BatchParameters.nominal(1))]
-        with pytest.raises(ValueError, match="pack mode"):
-            ragged_transient(sims, 100e-12, 1e-12, record=["out"],
-                             pack="diagonal")
-
 
 class TestTelemetry:
     def test_pack_counters_and_waste_are_reported(self):
@@ -229,12 +232,3 @@ class TestTelemetry:
         )
         assert tele.histogram("ragged.pad_waste").count == 1
         assert tele.count("ragged.bucket_solves") > 0
-
-    def test_pad_mode_counts_padded_solves(self):
-        sims = mixed_sims()
-        with use_telemetry() as tele:
-            ragged_transient(
-                sims, 100e-12, 1e-12, record=["out"], pack="pad"
-            )
-        assert tele.count("ragged.padded_solves") > 0
-        assert tele.count("ragged.bucket_solves") == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cascade.policy import CascadeConfig
 from repro.core.engines import registry as engine_registry
 from repro.spice.cache import SolveCache, use_cache
 from repro.workloads.flow import FlowMetrics, ScreeningFlow
@@ -148,6 +149,38 @@ class TestWaferScreeningEngine:
         with pytest.raises(ValueError):
             ScreeningFlow(engine_registry.spec("analytic"), voltages=VOLTAGES,
                           bands=bands)
+
+
+class TestCascadeStageNames:
+    """Worker ladders carry the parent's stage names."""
+
+    def _screen(self, wafer, workers):
+        engine = make_engine(
+            fidelity="cascade",
+            cascade=CascadeConfig(
+                escalation=("analytic",),
+                stage_characterization_samples=40,
+            ),
+            measurement_variation=None,
+        )
+        return engine.screen(wafer, workers=workers)
+
+    @staticmethod
+    def _stage_counters(result):
+        return {
+            name: count
+            for name, count in result.telemetry["counters"].items()
+            if name.startswith("cascade.stage.")
+        }
+
+    def test_sharded_stage_names_match_serial(self, wafer):
+        serial = self._screen(wafer, workers=1)
+        sharded = self._screen(wafer, workers=2)
+        assert "analytic" in serial.totals.stage_measurements
+        assert sharded.totals.stage_measurements == \
+            serial.totals.stage_measurements
+        assert self._stage_counters(sharded) == self._stage_counters(serial)
+        assert "cascade.stage.analytic" in self._stage_counters(serial)
 
 
 class TestPreflightRejection:
