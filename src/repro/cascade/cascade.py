@@ -30,6 +30,12 @@ through the content-addressed solve cache (a
 picklable :class:`CascadeState` for wafer worker processes.  Escalated
 scalar measurements are memoized too -- the cascade-vs-oracle test
 harness and warm wafer reruns hit instead of re-solving.
+
+A die is routed stage-synchronously: stage 0 decides every TSV first,
+then each escalation stage measures all of the die's TSVs still
+undecided there with one ``measure_batch`` call per supply, which lets
+the engine stack them into one corner-batched solve.  Per TSV the
+measurements, counters and decisions are those of routing it alone.
 """
 
 from __future__ import annotations
@@ -67,6 +73,26 @@ from repro.cascade.predictor import (
 )
 
 __all__ = ["CascadeScreen", "CascadeState"]
+
+
+@dataclass
+class _Route:
+    """One TSV's progress through :meth:`CascadeScreen._route`.
+
+    ``measured`` holds the (vdd, DeltaT) pairs taken at the current
+    ``stage``; ``decision`` is set once the TSV is decided.
+    """
+
+    index: int
+    tsv: Any
+    seed: int
+    stage: int
+    reasons: List[str]
+    measurements: int = 0
+    stage_measurements: Dict[str, int] = field(default_factory=dict)
+    measured: List[Tuple[float, float]] = field(default_factory=list)
+    stuck: bool = False
+    decision: Optional[TsvDecision] = None
 
 
 @dataclass
@@ -300,40 +326,61 @@ class CascadeScreen:
         }
 
     # ------------------------------------------------------------------
-    def _measure(self, stage: int, tsv: Any, vdd: float, seed: int) -> float:
-        """One DeltaT at a stage; escalated solves are memoized.
+    def _measure_stage(
+        self, stage: int, vdd: float, routes: Sequence["_Route"]
+    ) -> List[float]:
+        """One DeltaT per TSV at a stage; one ``measure_batch`` call.
 
         Deterministic measurements (``measurement_variation=None``) are
         memoized under seed-free keys shared with
         :meth:`ScreeningFlow._measure`, so a full-fidelity oracle run
         and the cascade's escalations pay each distinct (engine, TSV)
-        solve exactly once.
+        solve exactly once.  Noisy escalated measurements are memoized
+        under seeded keys.  Only the cache misses reach the engine, as
+        one :meth:`~repro.core.engines.base.Engine.measure_batch` call
+        (which stacks same-topology deterministic requests into one
+        corner-batched transient).
         """
         engine = self.engine(stage, vdd)
         variation = self.measurement_variation
 
-        def compute() -> float:
+        def compute(positions: Sequence[int]) -> List[float]:
+            chosen = [routes[i] for i in positions]
             if is_engine(engine):
-                result = engine.measure(MeasurementRequest(
-                    tsv=tsv, m=1, seed=seed, variation=variation,
-                    num_samples=1 if variation is not None else None,
-                ))
-                return float(result.delta_t)
-            return float(engine.delta_t_mc(
-                tsv, variation, 1, m=1, seed=seed
-            )[0])
+                results = engine.measure_batch([
+                    MeasurementRequest(
+                        tsv=route.tsv, m=1, seed=route.seed,
+                        variation=variation,
+                        num_samples=1 if variation is not None else None,
+                    )
+                    for route in chosen
+                ])
+                return [float(result.delta_t) for result in results]
+            return [
+                float(engine.delta_t_mc(
+                    route.tsv, variation, 1, m=1, seed=route.seed
+                )[0])
+                for route in chosen
+            ]
 
         if variation is None:
-            key = solve_cache.fingerprint(
-                "measure.deterministic", engine, tsv, 1
-            )
-            return float(solve_cache.memoize(key, compute))
-        if stage == 0:
-            return compute()
-        key = solve_cache.fingerprint(
-            "cascade.measure", engine, tsv, 1, variation, seed
-        )
-        return float(solve_cache.memoize(key, compute))
+            keys = [
+                solve_cache.fingerprint(
+                    "measure.deterministic", engine, route.tsv, 1
+                )
+                for route in routes
+            ]
+        elif stage == 0:
+            return compute(range(len(routes)))
+        else:
+            keys = [
+                solve_cache.fingerprint(
+                    "cascade.measure", engine, route.tsv, 1, variation,
+                    route.seed,
+                )
+                for route in routes
+            ]
+        return [float(v) for v in solve_cache.memoize_many(keys, compute)]
 
     @property
     def _noisy(self) -> bool:
@@ -404,104 +451,125 @@ class CascadeScreen:
 
         ``seed`` is the TSV's measurement seed (the flow's
         ``base_seed + 31 * index`` convention), reused at every stage so
-        serial and sharded screens stay bit-identical.
+        serial and sharded screens stay bit-identical.  This is the
+        one-TSV case of :meth:`_route`.
         """
+        (decision,) = self._route(
+            [(index, tsv, seed)], min_stage, preflight_warned
+        )
+        return decision
+
+    def _route(
+        self,
+        tsvs: Sequence[Tuple[int, Any, int]],
+        min_stage: int = 0,
+        preflight_warned: bool = False,
+    ) -> List[TsvDecision]:
+        """Route ``(index, tsv, seed)`` triples stage-synchronously.
+
+        Every TSV still undecided at a stage is measured there at each
+        supply in turn -- one :meth:`_measure_stage` call per supply,
+        skipping TSVs already stuck at an earlier supply -- and then
+        decided or escalated to the next stage.  Per TSV this measures,
+        counts and decides exactly as routing it alone would.
+        """
+        start = min_stage
         reasons: List[str] = []
-        stage = min_stage
         if (
             preflight_warned
             and self.config.escalate_on_preflight
-            and stage == 0
+            and start == 0
             and self.num_stages > 1
         ):
-            stage = 1
+            start = 1
             reasons.append(EscalationReason.PREFLIGHT.value)
+        routes = [
+            _Route(index, tsv, seed, start, list(reasons))
+            for index, tsv, seed in tsvs
+        ]
         tele = get_telemetry()
-        total = 0
-        stage_measurements: Dict[str, int] = {}
-
-        while True:
+        for stage in range(start, self.num_stages):
+            pending = [r for r in routes if r.decision is None]
+            if not pending:
+                break
             name = self.stage_names[stage]
-            tele.incr(f"cascade.stage.{name}")
-            measured: List[Tuple[float, float]] = []
-            count = 0
-            stuck = False
+            for route in pending:
+                tele.incr(f"cascade.stage.{name}")
+                route.stage = stage
+                route.measured = []
+            alive = pending
             for vdd in self.voltages:
-                delta_t = self._measure(stage, tsv, vdd, seed)
-                count += 2  # this TSV's T1 plus the group's T2 reference
-                if not math.isfinite(delta_t):
-                    stuck = True
+                if not alive:
                     break
-                measured.append((vdd, delta_t))
-            total += count
-            stage_measurements[name] = (
-                stage_measurements.get(name, 0) + count
-            )
-            if stuck:
-                return self._decide(
-                    index, True, stage, reasons, total, stage_measurements
-                )
-            if stage == self.top_stage:
-                flagged = any(
-                    not self.stage_band(stage, vdd).band.contains(dt)
-                    for vdd, dt in measured
-                )
-                return self._decide(
-                    index, flagged, stage, reasons, total,
-                    stage_measurements,
-                )
-            u_measured = []
-            for vdd, delta_t in measured:
-                fit = self.stage_band(stage, vdd).fit
-                sigma = fit.sigma if fit.sigma > 0.0 else 1.0
-                u_measured.append((delta_t - fit.center) / sigma)
-            hypotheses = self.calibration().match(
-                stage, u_measured, self._tolerance()
-            )
-            if not hypotheses:
-                reasons.append(EscalationReason.NOVEL.value)
-                tele.incr("cascade.escalations.novel")
-                stage += 1
-                continue
-            margin = self._verdict_margin()
-            edges = self._top_edges()
-            statuses = {
-                self._hypothesis_status(h, edges, margin)
-                for h in hypotheses
-            }
-            if statuses == {"in"}:
-                return self._decide(
-                    index, False, stage, reasons, total, stage_measurements
-                )
-            if statuses == {"out"}:
-                return self._decide(
-                    index, True, stage, reasons, total, stage_measurements
-                )
-            if "near" in statuses:
-                reasons.append(EscalationReason.NEAR_BAND.value)
-                tele.incr("cascade.escalations.near_band")
-            else:
-                reasons.append(EscalationReason.LOW_AGREEMENT.value)
-                tele.incr("cascade.escalations.low_agreement")
-            stage += 1
+                values = self._measure_stage(stage, vdd, alive)
+                for route, delta_t in zip(alive, values):
+                    # This TSV's T1 plus the group's T2 reference.
+                    route.measurements += 2
+                    route.stage_measurements[name] = (
+                        route.stage_measurements.get(name, 0) + 2
+                    )
+                    if math.isfinite(delta_t):
+                        route.measured.append((vdd, delta_t))
+                    else:
+                        route.stuck = True
+                alive = [route for route in alive if not route.stuck]
+            for route in pending:
+                self._judge(route)
+        decisions = [r.decision for r in routes if r.decision is not None]
+        assert len(decisions) == len(routes)  # the top stage decides all
+        return decisions
 
-    def _decide(
-        self,
-        index: int,
-        flagged: bool,
-        stage: int,
-        reasons: List[str],
-        measurements: int,
-        stage_measurements: Dict[str, int],
-    ) -> TsvDecision:
-        return TsvDecision(
-            index=index,
+    def _judge(self, route: "_Route") -> None:
+        """Decide ``route`` from its measurements at ``route.stage``,
+        or escalate it (recording the reason) to the next stage."""
+        stage = route.stage
+        if route.stuck:
+            self._decide(route, True)
+            return
+        if stage == self.top_stage:
+            self._decide(route, any(
+                not self.stage_band(stage, vdd).band.contains(dt)
+                for vdd, dt in route.measured
+            ))
+            return
+        tele = get_telemetry()
+        u_measured = []
+        for vdd, delta_t in route.measured:
+            fit = self.stage_band(stage, vdd).fit
+            sigma = fit.sigma if fit.sigma > 0.0 else 1.0
+            u_measured.append((delta_t - fit.center) / sigma)
+        hypotheses = self.calibration().match(
+            stage, u_measured, self._tolerance()
+        )
+        if not hypotheses:
+            route.reasons.append(EscalationReason.NOVEL.value)
+            tele.incr("cascade.escalations.novel")
+            return
+        margin = self._verdict_margin()
+        edges = self._top_edges()
+        statuses = {
+            self._hypothesis_status(h, edges, margin) for h in hypotheses
+        }
+        if statuses == {"in"}:
+            self._decide(route, False)
+        elif statuses == {"out"}:
+            self._decide(route, True)
+        elif "near" in statuses:
+            route.reasons.append(EscalationReason.NEAR_BAND.value)
+            tele.incr("cascade.escalations.near_band")
+        else:
+            route.reasons.append(EscalationReason.LOW_AGREEMENT.value)
+            tele.incr("cascade.escalations.low_agreement")
+
+    def _decide(self, route: "_Route", flagged: bool) -> None:
+        route.decision = TsvDecision(
+            index=route.index,
             flagged=flagged,
-            stage=stage,
-            stage_name=self.stage_names[stage],
-            reasons=reasons,
-            measurements=measurements,
-            stage_measurements=stage_measurements,
+            stage=route.stage,
+            stage_name=self.stage_names[route.stage],
+            reasons=route.reasons,
+            measurements=route.measurements,
+            stage_measurements=route.stage_measurements,
         )
 
     # ------------------------------------------------------------------
@@ -521,13 +589,11 @@ class CascadeScreen:
             "cascade.die", [(rec.index, rec.tsv) for rec in records]
         )
         preflight = preflight_warned and self.config.escalate_on_preflight
-        decisions = [
-            self.classify(
-                rec.tsv, rec.index, seed=base_seed + 31 * rec.index,
-                preflight_warned=preflight_warned,
-            )
-            for rec in records
-        ]
+        decisions = self._route(
+            [(rec.index, rec.tsv, base_seed + 31 * rec.index)
+             for rec in records],
+            preflight_warned=preflight_warned,
+        )
         max_stage = max((d.stage for d in decisions), default=0)
         if preflight:
             get_telemetry().incr("cascade.escalations.preflight")

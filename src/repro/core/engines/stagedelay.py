@@ -23,8 +23,9 @@ from repro.core.segments import RingOscillatorConfig
 from repro.core.tsv import Leakage, ResistiveOpen, Tsv
 from repro.spice import Pulse, transient
 from repro.spice.batch import BatchedResult, BatchParameters, BatchedSimulation
-from repro.spice.ragged import ragged_transient
+from repro.spice.ragged import TopologyFamily, ragged_transient
 from repro.spice.cache import circuit_fingerprint, fingerprint, memoize
+from repro.spice.mna import ConvergenceError
 from repro.spice.montecarlo import ProcessSample, ProcessVariation
 from repro.spice.netlist import Circuit, GROUND
 from repro.spice.waveform import NoOscillationError
@@ -58,6 +59,21 @@ def _first_crossings_after(
     cand = np.where(mask & (t_cross >= t_min), t_cross, np.inf)
     first = cand.min(axis=1)
     return np.where(np.isfinite(first), first, np.nan)
+
+
+@dataclass
+class _StackEntry:
+    """One deterministic request prepared for a stacked solve.
+
+    ``resistors``/``capacitors`` hold the values of the request's TSV
+    subnet elements (``ctop``, ``cbot``, ``ro``, ``rl``) by element name,
+    which become the per-corner overrides of the stacked run.
+    """
+
+    index: int
+    request: MeasurementRequest
+    resistors: Dict[str, float]
+    capacitors: Dict[str, float]
 
 
 @register("stagedelay", "stage", "stage-delay")
@@ -286,13 +302,15 @@ class StageDelayEngine(Engine):
         params: BatchParameters,
         sweepable: bool = False,
         resistor_overrides: Optional[Dict[str, np.ndarray]] = None,
+        strict: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-corner (tpLH, tpHL) arrays; NaN where the path is stuck."""
         sim = self._segment_sim(
             tsv, bypassed, params, sweepable, resistor_overrides
         )
         result = sim.transient(
-            self.stop_time(), self.timestep, record=["din", "dout"]
+            self.stop_time(), self.timestep, record=["din", "dout"],
+            strict=strict,
         )
         return self._delays_from_result(result)
 
@@ -387,15 +405,18 @@ class StageDelayEngine(Engine):
         """
         if request.num_samples is None:
             return None
-        engine = self._rebound(request)
+        return self._rebound(request)._settings_key()
+
+    def _settings_key(self) -> str:
+        """Fingerprint of everything but the TSV that shapes a solve."""
         return fingerprint(
             "stagedelay.family_key",
-            type(engine).__name__,
-            engine.config,
-            engine.timestep,
-            engine.input_slew,
-            engine.pulse_width,
-            engine.stop_policy,
+            type(self).__name__,
+            self.config,
+            self.timestep,
+            self.input_slew,
+            self.pulse_width,
+            self.stop_policy,
         )
 
     def measure_batch(
@@ -403,9 +424,15 @@ class StageDelayEngine(Engine):
     ) -> List[MeasurementResult]:
         """Execute requests, stacking and packing compatible ones.
 
-        Two coalescing tiers:
+        Three coalescing tiers:
 
-        * Requests with equal non-None :meth:`batch_key` draw their
+        * Deterministic requests (``num_samples=None``, no variation)
+          whose engine settings and supply match and whose segment
+          circuits share a :class:`~repro.spice.ragged.TopologyFamily`
+          run as one stacked in-loop/bypassed simulation pair, each
+          TSV's subnet values becoming per-corner overrides
+          (:meth:`_measure_stack`).
+        * Monte Carlo requests with equal :meth:`batch_key` draw their
           mismatch corners independently (exactly as :meth:`measure`
           would) and run as one concatenated :class:`BatchParameters`
           through a single on/bypassed simulation pair.
@@ -414,19 +441,28 @@ class StageDelayEngine(Engine):
           configuration -- are packed into one ragged cross-topology
           solve (:func:`repro.spice.ragged.ragged_transient`).
 
-        Either way per-request results are bit-identical to serial
-        measurement.  Scalar requests and families containing a single
-        singleton group fall back to :meth:`measure`.
+        In every tier per-request results are bit-identical to serial
+        measurement.  Requests no tier applies to (scalar requests with
+        process variation, invalid ``m``, non-finite TSV values) and
+        tiers holding a single request fall back to :meth:`measure`.
         """
         results: List[Optional[MeasurementResult]] = [None] * len(requests)
         families: Dict[str, Dict[str, List[int]]] = {}
+        stacks: Dict[Tuple[str, TopologyFamily], List[_StackEntry]] = {}
         for i, request in enumerate(requests):
             key = self.batch_key(request)
             if key is None:
-                results[i] = self.measure(request)
+                stacked = self._stack_entry(i, request)
+                if stacked is None:
+                    results[i] = self.measure(request)
+                else:
+                    stacks.setdefault(stacked[0], []).append(stacked[1])
                 continue
             family = self.family_key(request) or key
             families.setdefault(family, {}).setdefault(key, []).append(i)
+        for entries in stacks.values():
+            for entry, result in zip(entries, self._measure_stack(entries)):
+                results[entry.index] = result
         for subgroups in families.values():
             get_telemetry().observe("stagedelay.family_span", len(subgroups))
             if len(subgroups) == 1:
@@ -447,6 +483,91 @@ class StageDelayEngine(Engine):
                 for i, result in zip(indices, grouped):
                     results[i] = result
         return [r for r in results if r is not None]
+
+    def _stack_entry(
+        self, index: int, request: MeasurementRequest
+    ) -> Optional[Tuple[Tuple[str, TopologyFamily], _StackEntry]]:
+        """(stack key, entry) for a deterministic request, else None."""
+        if request.num_samples is not None or request.variation is not None:
+            return None
+        engine = self._rebound(request)
+        if not 1 <= request.m <= engine.config.num_segments:
+            return None  # measure() raises the usual ValueError
+        circuit, elements = engine._segment_circuit(
+            request.tsv, bypassed=False
+        )
+        names = set(elements.values())
+        resistors = {
+            r.name: r.resistance for r in circuit.resistors if r.name in names
+        }
+        capacitors = {
+            c.name: c.capacitance for c in circuit.capacitors
+            if c.name in names
+        }
+        values = [*resistors.values(), *capacitors.values()]
+        if not all(math.isfinite(v) for v in values):
+            return None  # measure() reports the preflight error
+        key = (engine._settings_key(), TopologyFamily.of(circuit))
+        return key, _StackEntry(index, request, resistors, capacitors)
+
+    def _measure_stack(
+        self, entries: Sequence[_StackEntry]
+    ) -> List[MeasurementResult]:
+        """One stacked in-loop/bypassed pair for same-topology requests.
+
+        The first request's circuits carry every other request's TSV
+        subnet values as per-corner overrides.  The run is strict: a
+        Newton failure anywhere (which in a serial run would trigger
+        batch-global gmin stepping or step bisection) abandons the
+        stack and re-solves each request alone through :meth:`measure`,
+        so results always equal serial measurement.
+        """
+        if len(entries) == 1:
+            return [self.measure(entries[0].request)]
+        first = entries[0]
+        engine = self._rebound(first.request)
+        params = BatchParameters(
+            num_corners=len(entries),
+            resistor_values={
+                name: np.array([e.resistors[name] for e in entries])
+                for name in first.resistors
+            },
+            capacitor_values={
+                name: np.array([e.capacitors[name] for e in entries])
+                for name in first.capacitors
+            },
+        )
+        tele = get_telemetry()
+        tele.incr("stagedelay.stacked_groups")
+        tsv = first.request.tsv
+        try:
+            on_r, on_f = engine._batched_segment_delays(
+                tsv, False, params, strict=True
+            )
+            off_r, off_f = engine._batched_segment_delays(
+                tsv, True, params, strict=True
+            )
+        except ConvergenceError:
+            tele.incr("stagedelay.stack_fallbacks")
+            return [self.measure(e.request) for e in entries]
+        per_corner = (on_r + on_f) - (off_r + off_f)
+        results: List[MeasurementResult] = []
+        for entry, delta in zip(entries, per_corner.tolist()):
+            request = entry.request
+            # delta_t() sums its m identical nominal segments one by one.
+            total = 0.0
+            for _ in range(request.m):
+                total += delta
+            tele.incr(f"measure.{self.engine_name}")
+            results.append(MeasurementResult(
+                delta_t=total,
+                engine=self.engine_name,
+                vdd=engine.config.vdd,
+                m=request.m,
+                seed=request.seed,
+                tags=dict(request.tags),
+            ))
+        return results
 
     def _mc_parts(
         self, circuit_probe: Circuit, requests: Sequence[MeasurementRequest]

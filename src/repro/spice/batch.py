@@ -322,7 +322,9 @@ class BatchedSimulation:
         )
 
     # ------------------------------------------------------------------
-    def solve_dc(self, ics: Optional[Dict[str, float]] = None) -> np.ndarray:
+    def solve_dc(
+        self, ics: Optional[Dict[str, float]] = None, strict: bool = False
+    ) -> np.ndarray:
         """Batched DC solve with gmin stepping fallback; returns (S, size)."""
         space = self.plan.reduced
         return solve_dc_plan(
@@ -333,16 +335,18 @@ class BatchedSimulation:
             t=0.0,
             ics=ics,
             a_linear=space.assemble_linear(self.res_g),
+            strict=strict,
         )
 
     def step_member(
         self,
         record_idx: Dict[str, int],
         ics: Optional[Dict[str, float]] = None,
+        strict: bool = False,
     ) -> StepMember:
         """This simulation as a :class:`TransientStepper` member, started
         from its DC operating point."""
-        x0 = self.solve_dc(ics=ics)
+        x0 = self.solve_dc(ics=ics, strict=strict)
         # Stepping runs in the condensed space: source-driven rails and
         # inputs are eliminated, shrinking every per-step stacked solve.
         space = self.plan.condensed
@@ -364,14 +368,23 @@ class BatchedSimulation:
         record: Optional[Iterable[str]] = None,
         method: str = "trap",
         max_retries: int = 4,
+        strict: bool = False,
     ) -> BatchedResult:
-        """Run the batched transient; see :func:`repro.spice.transient.transient`."""
+        """Run the batched transient; see :func:`repro.spice.transient.transient`.
+
+        Failure recovery (DC gmin stepping, step bisection) is
+        batch-global, so it can move corners that would have converged
+        alone.  ``strict`` turns it off: the first Newton failure raises
+        :class:`~repro.spice.mna.ConvergenceError`, and every corner of a
+        run that returns is bit-identical to solving that corner alone.
+        """
         validate_schedule(stop_time, timestep, method)
         record_nodes = list(record) if record is not None else self.circuit.nodes
         record_idx = {n: self.circuit.node_index(n) for n in record_nodes}
-        member = self.step_member(record_idx, ics=ics)
+        member = self.step_member(record_idx, ics=ics, strict=strict)
         (stepped,) = TransientStepper([member], self.options).run(
-            stop_time, timestep, method=method, max_retries=max_retries,
+            stop_time, timestep, method=method,
+            max_retries=0 if strict else max_retries,
         )
         return BatchedResult(
             time=stepped.time,

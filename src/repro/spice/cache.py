@@ -46,7 +46,9 @@ import sqlite3
 import warnings
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, TypeVar
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, TypeVar,
+)
 
 import numpy as np
 
@@ -62,6 +64,7 @@ __all__ = [
     "get_cache",
     "install_cache",
     "memoize",
+    "memoize_many",
     "use_cache",
 ]
 
@@ -207,16 +210,50 @@ class SolveCache:
 
     def memoize(self, key: str, compute: Callable[[], T]) -> T:
         """Return the cached value for ``key``, computing it on a miss."""
-        value = self._get(key, _MISSING)
-        if value is not _MISSING:
-            self.hits += 1
-            get_telemetry().incr("cache_hits")
-            return value  # type: ignore[no-any-return]
-        self.misses += 1
-        get_telemetry().incr("cache_misses")
-        fresh = compute()
-        self.store(key, fresh)
-        return fresh
+        (value,) = self.memoize_many([key], lambda _: [compute()])
+        return value
+
+    def memoize_many(
+        self,
+        keys: Sequence[str],
+        compute: Callable[[List[int]], Sequence[T]],
+    ) -> List[T]:
+        """Batched :meth:`memoize`: one ``compute`` call for all misses.
+
+        ``compute`` receives the positions (into ``keys``) of the
+        distinct uncached keys and returns their values in that order.
+        Hit/miss accounting equals one :meth:`memoize` call per key in
+        order (barring evictions inside the batch): a key repeated in
+        the batch misses on its first occurrence and hits after it.
+        """
+        values: List[Any] = [_MISSING] * len(keys)
+        first_miss: Dict[str, int] = {}
+        hits = 0
+        for i, key in enumerate(keys):
+            if key in first_miss:
+                hits += 1
+                continue
+            value = self._get(key, _MISSING)
+            if value is _MISSING:
+                first_miss[key] = i
+            else:
+                values[i] = value
+                hits += 1
+        tele = get_telemetry()
+        if hits:
+            self.hits += hits
+            tele.incr("cache_hits", hits)
+        misses = list(first_miss.values())
+        if misses:
+            self.misses += len(misses)
+            tele.incr("cache_misses", len(misses))
+            for i, fresh in zip(misses, compute(misses)):
+                self.store(keys[i], fresh)
+                values[i] = fresh
+        return [
+            values[first_miss[key]] if values[i] is _MISSING else values[i]
+            for i, key in enumerate(keys)
+        ]
 
     def clear(self) -> None:
         self._store.clear()
@@ -464,6 +501,17 @@ def memoize(key: str, compute: Callable[[], T]) -> T:
     if cache is None:
         return compute()
     return cache.memoize(key, compute)
+
+
+def memoize_many(
+    keys: Sequence[str], compute: Callable[[List[int]], Sequence[T]]
+) -> List[T]:
+    """:meth:`SolveCache.memoize_many` through the current cache; with
+    caching disabled, one ``compute`` call for every key."""
+    cache = _CURRENT
+    if cache is None:
+        return list(compute(list(range(len(keys)))))
+    return cache.memoize_many(keys, compute)
 
 
 def install_cache(cache: Optional[SolveCache]) -> Optional[SolveCache]:

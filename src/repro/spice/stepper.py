@@ -296,12 +296,15 @@ def solve_dc_plan(
     guess: Optional[np.ndarray] = None,
     a_linear: Optional[np.ndarray] = None,
     bpin: Optional[np.ndarray] = None,
+    strict: bool = False,
 ) -> np.ndarray:
     """DC operating point with ``.IC`` clamps and gmin-stepping fallback.
 
     ``a_linear``/``bpin`` are the space's linear assembly (shared
     ``(dim, dim)`` or stacked ``(S, dim, dim)``) and pinned-column
     correction matrix; both are assembled from the space when omitted.
+    ``strict`` raises the first :class:`ConvergenceError` instead of
+    falling back to gmin stepping (which is batch-global).
     Returns full vectors ``(S, size)``.
     """
     plan = space.plan
@@ -338,7 +341,8 @@ def solve_dc_plan(
     try:
         return solve(x0, "dc")
     except ConvergenceError:
-        pass
+        if strict:
+            raise
 
     # gmin stepping: solve a sequence of increasingly stiff problems,
     # reusing each solution as the next starting point.

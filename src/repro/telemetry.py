@@ -354,6 +354,10 @@ for _name, _desc in [
                              "members of one dimension"),
     ("cascade.stage.*", "TSV screening passes per cascade stage"),
     ("cascade.escalations.*", "cascade escalations by reason"),
+    ("stagedelay.stacked_groups", "same-topology deterministic request "
+                                  "groups solved as one stacked run"),
+    ("stagedelay.stack_fallbacks", "stacked groups re-solved one request "
+                                   "at a time after a Newton failure"),
     ("compiler.compiled", "die specs compiled into verified architectures"),
     ("compiler.failed", "compiles rejected (invalid spec or preflight "
                         "errors)"),

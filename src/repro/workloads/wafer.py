@@ -21,8 +21,8 @@ workload:
   count or chunking.
 * **Telemetry.**  Every run returns a merged
   :class:`repro.telemetry.Telemetry` snapshot -- Newton iterations, step
-  retries, solver-backend paths, cache hits, per-phase wall time --
-  collected in the parent *and* inside every worker process.
+  retries, stacked solves, cache hits, per-phase wall time -- collected
+  in the parent *and* inside every worker process.
 
 Worker processes rebuild their :class:`ScreeningFlow` from pickled
 constructor arguments; the engine crosses the process boundary as a
@@ -275,8 +275,9 @@ class WaferScreeningEngine:
             instance, or ``vdd -> engine`` callable; normalized to a
             picklable spec wherever possible so workers can rehydrate
             bit-identical engines.
-        chunk_size: Dies per worker task (default: balanced at roughly
-            four tasks per worker, so stragglers even out).
+        chunk_size: Dies per worker task, a positive int (default:
+            balanced at roughly four tasks per worker, so stragglers
+            even out).
         preflight: Statically check every die in the parent process and
             reject un-screenable ones (NaN capacitance, out-of-range
             fault parameters) *before* pool dispatch, so a bad die costs
@@ -318,8 +319,17 @@ class WaferScreeningEngine:
             cascade=cascade,
             measurement_variation=measurement_variation,
         )
+        if chunk_size is not None and (
+            isinstance(chunk_size, bool)
+            or not isinstance(chunk_size, (int, np.integer))
+            or chunk_size < 1
+        ):
+            raise ValueError(
+                f"chunk_size must be None or a positive int, "
+                f"got {chunk_size!r}"
+            )
         self.preflight = preflight
-        self.chunk_size = chunk_size
+        self.chunk_size = None if chunk_size is None else int(chunk_size)
         self._flow: Optional[ScreeningFlow] = None
 
     # ------------------------------------------------------------------

@@ -15,15 +15,36 @@ import pytest
 
 from repro.cascade import CascadeConfig, CascadeScreen, CascadeState
 from repro.core.engines.registry import spec
-from repro.core.tsv import Leakage, Tsv
+from repro.core.tsv import Leakage, ResistiveOpen, Tsv
+from repro.spice.cache import SolveCache, use_cache
 from repro.spice.montecarlo import ProcessVariation
-from repro.workloads.generator import TsvRecord
+from repro.telemetry import use_telemetry
+from repro.workloads.generator import DiePopulation, TsvRecord
 
 from tests.cascade.conftest import FLOW_KWARGS, TOP_SPEC, VOLTAGES
 
 #: A leakage severe enough that the stage-0 analytic ring does not
 #: oscillate at the lower supply -- the classic stuck signature.
 STUCK_LEAK = Tsv(fault=Leakage(r_leak=500.0))
+
+#: TSVs the ladder escalates to its top stage (every one measurable).
+ESCALATING = (
+    Tsv(fault=ResistiveOpen(r_open=300.0, x=0.5)),    # near_band
+    Tsv(params=Tsv().params.scaled(1.2)),              # novel
+    Tsv(fault=Leakage(r_leak=2000.0)),                 # near_band
+    Tsv(params=Tsv().params.scaled(1.3)),              # novel
+    Tsv(fault=ResistiveOpen(r_open=900.0, x=0.2)),     # novel
+    Tsv(params=Tsv().params.scaled(1.2)),              # novel, repeated
+)
+
+#: One die spanning every routing outcome: a stage-0 pass, a stuck
+#: ring, a confident stage-0 flag, then near-band and novel escalations.
+MIXED_DIE = (
+    Tsv(),
+    STUCK_LEAK,
+    Tsv(fault=ResistiveOpen(r_open=24300.0, x=0.5)),
+    *ESCALATING,
+)
 
 
 def _variant(cascade, **config_kwargs) -> CascadeScreen:
@@ -164,6 +185,84 @@ class TestClassifyDie:
         )
         assert decision.preflight_escalated
         assert decision.max_stage >= 1
+
+
+class TestStageSynchronousRouting:
+    """``classify_die`` routes stage by stage, as the per-TSV loop would."""
+
+    COUNTERS = ("measure.stagedelay", "cache_hits", "cache_misses")
+
+    @classmethod
+    def _counters(cls, tele):
+        return {
+            name: count for name, count in tele.counters.items()
+            if name.startswith("cascade.") or name in cls.COUNTERS
+        }
+
+    @pytest.mark.parametrize("tsvs,preflight", [
+        (MIXED_DIE, False),
+        ((Tsv(), STUCK_LEAK, *ESCALATING[:2]), True),
+    ])
+    def test_die_routing_equals_per_tsv_loop(
+        self, cascade_flow, tsvs, preflight
+    ):
+        cascade = cascade_flow.cascade
+        records = [TsvRecord(i, tsv) for i, tsv in enumerate(tsvs)]
+        with use_cache(SolveCache()), use_telemetry() as die_tele:
+            die = cascade.classify_die(
+                records, base_seed=7, preflight_warned=preflight
+            )
+        with use_cache(SolveCache()), use_telemetry() as loop_tele:
+            loop = [
+                cascade.classify(
+                    rec.tsv, rec.index, seed=7 + 31 * rec.index,
+                    preflight_warned=preflight,
+                )
+                for rec in records
+            ]
+            if preflight:  # classify_die counts the die once
+                loop_tele.incr("cascade.escalations.preflight")
+        assert [d.as_dict() for d in die.tsv_decisions] == [
+            d.as_dict() for d in loop
+        ]
+        assert die.rejected == any(d.flagged for d in loop)
+        assert die.max_stage == max(d.stage for d in loop)
+        assert self._counters(die_tele) == self._counters(loop_tele)
+        # The die exercised the whole routing surface ...
+        reasons = {r for d in loop for r in d.reasons}
+        if preflight:
+            assert reasons == {"preflight"}
+        else:
+            assert {"near_band", "novel"} <= reasons
+            assert {d.stage for d in loop} == {0, 1}
+        # STUCK_LEAK (index 1) sticks at the first supply: no second.
+        assert loop[1].flagged and loop[1].measurements == 2
+        # ... and its escalations were stacked, not solved one by one.
+        assert die_tele.count("stagedelay.stacked_groups") > 0
+        assert die_tele.count("stagedelay.stack_fallbacks") == 0
+        assert die_tele.count("newton_solves") < loop_tele.count(
+            "newton_solves"
+        )
+
+    def test_oracle_after_cascade_hits_every_escalated_tsv(
+        self, cascade_flow, oracle_flow
+    ):
+        oracle_flow.bands  # characterize outside the fresh cache
+        population = DiePopulation(num_tsvs=len(ESCALATING))
+        population.records = [
+            TsvRecord(i, tsv) for i, tsv in enumerate(ESCALATING)
+        ]
+        cascade = cascade_flow.cascade
+        with use_cache(SolveCache()):
+            decision = cascade.classify_die(population, base_seed=7)
+            assert all(
+                d.stage == cascade.top_stage for d in decision.tsv_decisions
+            )
+            with use_telemetry() as tele:
+                oracle_flow.screen_die(population)
+        assert tele.count("cache_misses") == 0
+        assert tele.count("cache_hits") >= len(ESCALATING)
+        assert tele.count("measure.stagedelay") == 0
 
 
 class TestState:

@@ -257,3 +257,122 @@ class TestFamilyPackedMeasureBatch:
             engine.measure_batch(requests)
         assert tele.count("ragged.packs") == 0
         assert tele.histogram("stagedelay.family_span").max == 1
+
+
+class TestStackedDeterministicMeasureBatch:
+    """Deterministic requests stack per topology == serial ``measure``."""
+
+    TIMESTEP = 40e-12
+
+    @staticmethod
+    def _same(got, want):
+        """Bit-equal DeltaT, with NaN (stuck) equal to NaN."""
+        return got == want or (math.isnan(got) and math.isnan(want))
+
+    def _check(self, requests, engine=None):
+        """Serial vs batched results (equal); returns the batch telemetry."""
+        from repro.spice.cache import cache_disabled
+        from repro.telemetry import use_telemetry
+
+        engine = engine or StageDelayEngine(timestep=self.TIMESTEP)
+        with cache_disabled():
+            serial = [engine.measure(r) for r in requests]
+            with use_telemetry() as tele:
+                batched = engine.measure_batch(requests)
+        assert len(batched) == len(serial)
+        for got, want in zip(batched, serial):
+            assert self._same(got.delta_t, want.delta_t), (got, want)
+            assert (got.vdd, got.m, got.seed, got.engine, got.tags) == (
+                want.vdd, want.m, want.seed, want.engine, want.tags
+            )
+            assert got.samples is None and want.samples is None
+        assert tele.count("measure.stagedelay") == len(requests)
+        return serial, tele
+
+    @staticmethod
+    def _requests(tsvs, **kwargs):
+        from repro.core.engines.base import MeasurementRequest
+
+        return [MeasurementRequest(tsv=tsv, **kwargs) for tsv in tsvs]
+
+    def test_fault_free_capacitance_spread(self):
+        nominal = Tsv().params
+        tsvs = [Tsv(params=nominal.scaled(k)) for k in (0.85, 1.0, 1.2)]
+        from repro.telemetry import use_telemetry
+
+        requests = self._requests(tsvs, tags={"k": "v"})
+        serial, tele = self._check(requests)
+        assert len({r.delta_t for r in serial}) == 3
+        assert tele.count("stagedelay.stacked_groups") == 1
+        assert tele.count("stagedelay.stack_fallbacks") == 0
+        # Three requests cost the Newton solves of one serial request.
+        with use_telemetry() as one:
+            StageDelayEngine(timestep=self.TIMESTEP).measure(requests[0])
+        assert tele.count("newton_solves") == one.count("newton_solves")
+
+    def test_resistive_opens_vary_r_and_x(self):
+        tsvs = [
+            Tsv(fault=ResistiveOpen(r_open=r, x=x))
+            for r, x in ((300.0, 0.5), (3e3, 0.2), (1e5, 0.8),
+                         (float("inf"), 0.5))
+        ]
+        _, tele = self._check(self._requests(tsvs))
+        assert tele.count("stagedelay.stacked_groups") == 1
+
+    def test_leakage_including_stuck(self):
+        tsvs = [Tsv(fault=Leakage(r)) for r in (1e6, 5e3, 100.0)]
+        serial, tele = self._check(self._requests(tsvs))
+        assert math.isnan(serial[-1].delta_t)  # the ring never switches
+        assert all(math.isfinite(r.delta_t) for r in serial[:-1])
+        assert tele.count("stagedelay.stacked_groups") == 1
+
+    def test_mixed_kinds_supplies_and_m(self):
+        from repro.core.engines.base import MeasurementRequest
+
+        kinds = [
+            Tsv(params=Tsv().params.scaled(0.9)),
+            Tsv(fault=ResistiveOpen(r_open=2e3, x=0.5)),
+            Tsv(fault=Leakage(2e4)),
+            Tsv(),
+            Tsv(fault=ResistiveOpen(r_open=500.0, x=0.3)),
+            Tsv(fault=Leakage(3e3)),
+        ]
+        requests = [
+            MeasurementRequest(tsv=tsv, vdd=vdd, m=m)
+            for vdd, m in ((None, 1), (0.8, 2))
+            for tsv in kinds
+        ]
+        # Not stackable: a scalar request with process variation.
+        requests.append(MeasurementRequest(
+            tsv=Tsv(), seed=3, variation=ProcessVariation()
+        ))
+        _, tele = self._check(requests)
+        # Three fault topologies x two supplies.
+        assert tele.count("stagedelay.stacked_groups") == 6
+
+    @pytest.mark.parametrize("timestep,iterations,serial_bisects", [
+        (40e-12, 6, False),   # only the stacked run fails to converge
+        (100e-12, 12, True),  # serial runs need step bisection too
+    ])
+    def test_convergence_failure_falls_back_per_request(
+        self, monkeypatch, timestep, iterations, serial_bisects
+    ):
+        import functools
+
+        import repro.spice.batch
+        import repro.spice.mna
+        from repro.spice.mna import NewtonOptions
+        from repro.telemetry import use_telemetry
+
+        limited = functools.partial(NewtonOptions, max_iterations=iterations)
+        monkeypatch.setattr(repro.spice.batch, "NewtonOptions", limited)
+        if serial_bisects:
+            monkeypatch.setattr(repro.spice.mna, "NewtonOptions", limited)
+        tsvs = [Tsv(params=Tsv().params.scaled(k)) for k in (0.9, 1.1)]
+        engine = StageDelayEngine(timestep=timestep)
+        with use_telemetry() as serial_tele:
+            engine.measure(self._requests(tsvs[:1])[0])
+        assert (serial_tele.count("step_halvings") > 0) == serial_bisects
+        _, tele = self._check(self._requests(tsvs), engine)
+        assert tele.count("stagedelay.stacked_groups") == 1
+        assert tele.count("stagedelay.stack_fallbacks") == 1

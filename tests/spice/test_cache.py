@@ -12,6 +12,7 @@ from repro.spice.cache import (
     fingerprint,
     get_cache,
     memoize,
+    memoize_many,
     use_cache,
 )
 from repro.spice.montecarlo import ProcessVariation
@@ -121,6 +122,40 @@ class TestSolveCache:
             cache.memoize("k", lambda: 1)
         assert tele.count("cache_misses") == 1
         assert tele.count("cache_hits") == 1
+
+
+class TestMemoizeMany:
+    KEYS = ["a", "b", "a", "c", "b"]
+
+    def test_computes_distinct_misses_once(self):
+        cache = SolveCache()
+        cache.store("c", "cached")
+        calls = []
+
+        def compute(positions):
+            calls.append(list(positions))
+            return [self.KEYS[i].upper() for i in positions]
+
+        got = cache.memoize_many(self.KEYS, compute)
+        assert got == ["A", "B", "A", "cached", "B"]
+        assert calls == [[0, 1]]
+        assert cache.memoize_many(self.KEYS, compute) == got
+        assert calls == [[0, 1]]  # second batch: all hits
+
+    def test_accounting_equals_one_memoize_per_key(self):
+        batched, serial = SolveCache(), SolveCache()
+        with use_telemetry() as tele_batched:
+            batched.memoize_many(self.KEYS, lambda pos: [0] * len(pos))
+        with use_telemetry() as tele_serial:
+            for key in self.KEYS:
+                serial.memoize(key, lambda: 0)
+        assert (batched.hits, batched.misses) == (serial.hits, serial.misses)
+        assert tele_batched.counters == tele_serial.counters
+
+    def test_disabled_cache_computes_every_key(self):
+        with cache_disabled():
+            got = memoize_many(self.KEYS, lambda pos: list(pos))
+        assert got == [0, 1, 2, 3, 4]
 
 
 class TestScoping:

@@ -1,5 +1,6 @@
 """Unit tests for the sharded wafer-scale screening engine."""
 
+import numpy as np
 import pytest
 
 from repro.cascade.policy import CascadeConfig
@@ -141,6 +142,14 @@ class TestWaferScreeningEngine:
     def test_rejects_bad_worker_count(self, wafer):
         with pytest.raises(ValueError):
             make_engine().screen(wafer, workers=0)
+
+    @pytest.mark.parametrize("chunk_size", [-1, 0, 2.5, True, "2"])
+    def test_rejects_bad_chunk_size_at_construction(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            make_engine(chunk_size=chunk_size)
+
+    def test_accepts_numpy_chunk_size(self):
+        assert make_engine(chunk_size=np.int64(3)).chunk_size == 3
 
     def test_flow_rejects_incomplete_bands(self):
         engine = make_engine()
