@@ -1,11 +1,12 @@
 """PKL: values crossing a process-pool boundary must pickle.
 
-The sharded wafer engine (PR 2) and every future process fan-out ship
-work to ``ProcessPoolExecutor`` workers; anything in ``submit``/``map``
-arguments or the pool's ``initializer``/``initargs`` is pickled.  A
-lambda, a closure (function defined inside another function), or an
-open OS handle fails at dispatch time -- on a fleet run, *after* the
-pool spun up.  A bare :class:`~repro.core.engines.base.Engine` may
+The sharded wafer engine and the service's process transport ship work
+to ``ProcessPoolExecutor`` workers, both through the one fleet
+constructor :func:`repro.service.procworker.process_pool`; anything in
+``submit``/``map`` arguments or the pool's ``initializer``/``initargs``
+is pickled.  A lambda, a closure (function defined inside another
+function), or an open OS handle fails at dispatch time -- on a fleet
+run, *after* the pool spun up.  A bare :class:`~repro.core.engines.base.Engine` may
 pickle but is the wrong contract: engines cross process boundaries as
 :class:`~repro.core.engines.registry.EngineSpec` recipes (PR 4), so
 workers rehydrate bit-identical engines instead of dragging solver
@@ -52,12 +53,14 @@ from repro.lint.modgraph import ModuleInfo, dotted_name
 
 __all__ = ["pkl_boundaries"]
 
-#: Fully-qualified constructors of process pools.
+#: Fully-qualified constructors of process pools (the package's own
+#: fleet constructor included: both fan-out sites build pools with it).
 _POOL_TYPES = {
     "concurrent.futures.ProcessPoolExecutor",
     "concurrent.futures.process.ProcessPoolExecutor",
     "multiprocessing.Pool",
     "multiprocessing.pool.Pool",
+    "repro.service.procworker.process_pool",
 }
 
 #: Constructors whose result is an unpicklable OS handle.

@@ -91,10 +91,10 @@ class ServiceConfig:
             picklable :class:`~repro.core.engines.registry.EngineSpec`
             recipes -- raw engine instances are rejected); ``"auto"``
             picks ``"process"`` when the machine has more than one core
-            and the configured engine is spec-resolvable.
-        mp_start_method: Multiprocessing start method for the process
-            transport (``None`` prefers ``fork`` where available, so
-            workers inherit runtime registry state).
+            and the configured engine is spec-resolvable.  Worker
+            processes come from
+            :func:`~repro.service.procworker.process_pool` (``fork``
+            where available, so they inherit runtime registry state).
         engine_cache_size: LRU bound of the engine rehydration caches
             (the service's own and each worker process's).
         coalesce: Request-grouping policy: ``"family"`` (default) groups
@@ -116,7 +116,6 @@ class ServiceConfig:
     deadline_slack_s: float = 0.0
     coalesce: str = "family"
     transport: str = "thread"
-    mp_start_method: Optional[str] = None
     engine_cache_size: int = 64
     clock: Callable[[], float] = time.monotonic
 
@@ -225,7 +224,6 @@ class ScreeningService:
             num_workers=cfg.num_workers,
             clock=self._clock,
             engine_cache_size=cfg.engine_cache_size,
-            mp_start_method=cfg.mp_start_method,
         )
         self._workers = WorkerPool(
             self._dispatch,

@@ -9,7 +9,9 @@ solve to the configured :class:`WorkerTransport`:
   cost, but batch formation and the solve's Python layers share one
   GIL.
 * :class:`ProcessTransport` ships the batch to a long-lived worker
-  *process*: the request list travels through a shared-memory arena
+  *process* of the fleet :func:`~repro.service.procworker.process_pool`
+  starts (the same pool constructor the sharded wafer engine uses):
+  the request list travels through a shared-memory arena
   segment (:mod:`repro.service.arena`), the engine travels as a
   picklable :class:`~repro.core.engines.registry.EngineSpec` that the
   worker rehydrates through the per-process
@@ -41,8 +43,7 @@ already-expired entries *before* paying for their solve.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -58,7 +59,12 @@ from repro.service.arena import (
     ndarray_at,
 )
 from repro.service.batcher import Batch, DispatchQueue
-from repro.service.procworker import ResultRow, init_worker, solve_shipped
+from repro.service.procworker import (
+    ResultRow,
+    process_pool,
+    run_scoped,
+    solve_shipped,
+)
 from repro.service.request import (
     PendingEntry,
     ResponseStatus,
@@ -136,11 +142,10 @@ class ProcessTransport:
     prove nothing leaked.  Workers attach, solve, write, detach (see
     :mod:`repro.service.procworker`).
 
-    The pool prefers the ``fork`` start method where available: worker
-    processes inherit the parent's engine registry, so specs for
-    engines registered at runtime (tests, plugins) rehydrate without
-    re-imports.  Override with ``mp_start_method`` when a workload
-    needs ``spawn``/``forkserver`` isolation instead.
+    The pool comes from :func:`~repro.service.procworker.process_pool`
+    and lives as long as the service: ``fork`` where available, so
+    specs for engines registered at runtime (tests, plugins) rehydrate
+    without re-imports.
     """
 
     name = "process"
@@ -151,21 +156,10 @@ class ProcessTransport:
         num_workers: int,
         clock: Callable[[], float],
         engine_cache_size: int,
-        mp_start_method: Optional[str] = None,
     ):
-        method = mp_start_method
-        if method is None and (
-            "fork" in multiprocessing.get_all_start_methods()
-        ):
-            method = "fork"
         self._clock = clock
         self._arena = Arena(label="service-parent")
-        self._pool = ProcessPoolExecutor(
-            max_workers=num_workers,
-            mp_context=multiprocessing.get_context(method),
-            initializer=init_worker,
-            initargs=(engine_cache_size,),
-        )
+        self._pool = process_pool(num_workers, engine_cache_size)
 
     @property
     def arena(self) -> Arena:
@@ -189,7 +183,7 @@ class ProcessTransport:
         ship_s = self._clock() - ship_start
         try:
             rows, snapshot = await loop.run_in_executor(
-                self._pool, solve_shipped,
+                self._pool, run_scoped, solve_shipped,
                 spec, payload, result_handle, slots,
             )
             recv_start = self._clock()
@@ -269,7 +263,6 @@ def make_transport(
     num_workers: int,
     clock: Callable[[], float],
     engine_cache_size: int,
-    mp_start_method: Optional[str] = None,
 ) -> WorkerTransport:
     """Build the transport for a resolved (non-``auto``) kind."""
     if kind == "thread":
@@ -279,7 +272,6 @@ def make_transport(
             num_workers=num_workers,
             clock=clock,
             engine_cache_size=engine_cache_size,
-            mp_start_method=mp_start_method,
         )
     raise ValueError(f"unknown transport kind {kind!r}")
 

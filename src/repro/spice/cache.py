@@ -30,9 +30,7 @@ registry (``cache_hits`` / ``cache_misses``; persistent stores also emit
 can report the hit rate alongside its throughput numbers.
 
 Scoping mirrors the telemetry registry: a process-wide default cache,
-swappable with :func:`use_cache` (or permanently with
-:func:`install_cache`, which the wafer engine uses to hand worker
-processes the parent's persistent store); :func:`cache_disabled` turns
+swappable with :func:`use_cache`; :func:`cache_disabled` turns
 caching off for a block (every ``memoize`` computes), which the
 benchmarks use to measure the uncached baseline.
 """
@@ -62,7 +60,6 @@ __all__ = [
     "circuit_fingerprint",
     "fingerprint",
     "get_cache",
-    "install_cache",
     "memoize",
     "memoize_many",
     "use_cache",
@@ -277,10 +274,10 @@ class PersistentSolveCache(SolveCache):
     """Sqlite-backed content-addressed store shared across processes.
 
     Same surface and key schema as :class:`SolveCache` -- a drop-in for
-    :func:`use_cache` / :func:`install_cache` -- but entries live in an
-    on-disk sqlite database, so characterization bands and guard periods
-    computed by one wafer worker (or one CI run) are hits for every
-    other process that opens the same path.
+    :func:`use_cache` -- but entries live in an on-disk sqlite database,
+    so characterization bands and guard periods computed by one wafer
+    worker (or one CI run) are hits for every other process that opens
+    the same path.
 
     Durability and safety properties:
 
@@ -512,20 +509,6 @@ def memoize_many(
     if cache is None:
         return list(compute(list(range(len(keys)))))
     return cache.memoize_many(keys, compute)
-
-
-def install_cache(cache: Optional[SolveCache]) -> Optional[SolveCache]:
-    """Permanently install ``cache`` as the process-wide default.
-
-    Unlike the scoped :func:`use_cache`, this sticks for the life of the
-    process -- it is how wafer worker processes adopt the parent's
-    :class:`PersistentSolveCache` in their pool initializer.  Returns
-    the previously installed cache so callers that *can* restore it may.
-    """
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = cache
-    return previous
 
 
 @contextmanager

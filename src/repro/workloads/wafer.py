@@ -18,16 +18,18 @@ workload:
   {generation, measurement}``), so a sharded run is **bit-identical** to
   the serial run: the same dies, the same simulated measurements, the
   same :class:`~repro.workloads.flow.FlowMetrics`, regardless of worker
-  count or chunking.
+  count.
 * **Telemetry.**  Every run returns a merged
   :class:`repro.telemetry.Telemetry` snapshot -- Newton iterations, step
   retries, stacked solves, cache hits, per-phase wall time -- collected
   in the parent *and* inside every worker process.
 
-Worker processes rebuild their :class:`ScreeningFlow` from pickled
-constructor arguments; the engine crosses the process boundary as a
-picklable :class:`~repro.core.engines.registry.EngineSpec` (registry
-names, specs, and engine instances are normalized to one via
+Sharded screens run on the package's one process-worker fleet
+(:mod:`repro.service.procworker`): each ``screen()`` call opens its own
+pool -- workers fork from the caller's solve-cache scope, so no worker
+memo outlives it -- and submits one task per die, which rebuilds the
+:class:`ScreeningFlow` from a picklable recipe.  The engine crosses as
+an :class:`~repro.core.engines.registry.EngineSpec` (see
 :func:`~repro.core.engines.registry.as_engine_factory`; ad-hoc closures
 only survive on fork-based platforms).
 """
@@ -35,9 +37,8 @@ only survive on fork-based platforms).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +52,8 @@ from repro.core.engines.registry import (
 from repro.core.session import ReferenceBand
 from repro.core.tsv import TsvParameters
 from repro.dft.control import MeasurementPlan
-from repro.spice.cache import (
-    PersistentSolveCache,
-    SolveCache,
-    get_cache,
-    install_cache,
-)
+from repro.service.procworker import process_pool, run_scoped
+from repro.spice.cache import PersistentSolveCache, get_cache, use_cache
 from repro.spice.montecarlo import ProcessVariation
 from repro.telemetry import Telemetry, get_telemetry, use_telemetry
 from repro.workloads.flow import FlowMetrics, ScreeningFlow
@@ -211,54 +208,41 @@ class WaferScreenResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-side machinery (module level so it pickles by reference)
+# Worker task (module level so it pickles by reference)
 # ----------------------------------------------------------------------
-_WORKER_FLOW: Optional[ScreeningFlow] = None
+class _FlowRecipe(NamedTuple):
+    """The parent's flow, as pool workers rebuild it.
 
-
-def _worker_init(
-    flow_kwargs: Dict,
-    bands: Dict[float, ReferenceBand],
-    cascade_state: Optional[CascadeState] = None,
-    cache: Optional[SolveCache] = None,
-) -> None:
-    """Build this worker's flow once, from the parent's bands.
-
-    ``cascade_state`` carries the parent's cascade characterization
-    (stage bands plus the signature-calibration table); ``cache`` is
-    the parent's :class:`PersistentSolveCache`
-    (pickled as its path), installed process-wide so every worker shares
-    the same on-disk characterization and escalated-solve entries.
-
-    The shipped engine factory is rebound through this process's
-    :func:`~repro.core.engines.registry.process_engine_cache` -- the
-    same audited rehydration boundary the service's process transport
-    uses -- so the flow's per-supply engines are built once per worker
-    and shared with any other spec consumer in the process.
+    ``cache`` is the parent's :class:`PersistentSolveCache` (pickled as
+    its path), or ``None`` to keep the scope the worker forked from.
     """
-    global _WORKER_FLOW
-    if cache is not None:
-        install_cache(cache)
-    flow_kwargs = dict(flow_kwargs)
+
+    flow_kwargs: Dict[str, Any]
+    bands: Dict[float, ReferenceBand]
+    cascade_state: Optional[CascadeState]
+    cache: Optional[PersistentSolveCache]
+
+
+def _screen_die(
+    recipe: _FlowRecipe, die: DiePopulation, seed: int
+) -> FlowMetrics:
+    """Screen one die in a pool worker (a ``run_scoped`` task).
+
+    Engines rehydrate through
+    :func:`~repro.core.engines.registry.process_engine_cache`, so they
+    are built once per worker and the per-die flow costs a lookup.
+    """
+    flow_kwargs = dict(recipe.flow_kwargs)
     flow_kwargs["engine_factory"] = process_engine_cache().cached_factory(
         flow_kwargs["engine_factory"]
     )
-    _WORKER_FLOW = ScreeningFlow(
-        bands=bands, cascade_state=cascade_state, **flow_kwargs
-    )
-
-
-def _screen_chunk(
-    chunk: List[Tuple[int, DiePopulation, int]],
-) -> Tuple[List[Tuple[int, FlowMetrics]], Dict]:
-    """Screen a chunk of dies; returns indexed metrics + telemetry."""
-    tele = Telemetry()
-    with use_telemetry(tele):
-        results = [
-            (index, _WORKER_FLOW.screen_die(die, measure_seed=seed))
-            for index, die, seed in chunk
-        ]
-    return results, tele.snapshot()
+    cache = recipe.cache if recipe.cache is not None else get_cache()
+    with use_cache(cache):
+        flow = ScreeningFlow(
+            bands=recipe.bands, cascade_state=recipe.cascade_state,
+            **flow_kwargs,
+        )
+        return flow.screen_die(die, measure_seed=seed)
 
 
 class WaferScreeningEngine:
@@ -275,9 +259,6 @@ class WaferScreeningEngine:
             instance, or ``vdd -> engine`` callable; normalized to a
             picklable spec wherever possible so workers can rehydrate
             bit-identical engines.
-        chunk_size: Dies per worker task, a positive int (default:
-            balanced at roughly four tasks per worker, so stragglers
-            even out).
         preflight: Statically check every die in the parent process and
             reject un-screenable ones (NaN capacitance, out-of-range
             fault parameters) *before* pool dispatch, so a bad die costs
@@ -298,7 +279,6 @@ class WaferScreeningEngine:
         group_screen_first: bool = False,
         tsv_cap_variation_rel: float = 0.02,
         seed: int = 2024,
-        chunk_size: Optional[int] = None,
         preflight: bool = True,
         fidelity: str = "full",
         cascade: Optional[CascadeConfig] = None,
@@ -319,17 +299,7 @@ class WaferScreeningEngine:
             cascade=cascade,
             measurement_variation=measurement_variation,
         )
-        if chunk_size is not None and (
-            isinstance(chunk_size, bool)
-            or not isinstance(chunk_size, (int, np.integer))
-            or chunk_size < 1
-        ):
-            raise ValueError(
-                f"chunk_size must be None or a positive int, "
-                f"got {chunk_size!r}"
-            )
         self.preflight = preflight
-        self.chunk_size = None if chunk_size is None else int(chunk_size)
         self._flow: Optional[ScreeningFlow] = None
 
     # ------------------------------------------------------------------
@@ -339,14 +309,6 @@ class WaferScreeningEngine:
         if self._flow is None:
             self._flow = ScreeningFlow(**self._flow_kwargs)
         return self._flow
-
-    def _chunks(
-        self,
-        items: List[Tuple[int, DiePopulation, int]],
-        workers: int,
-    ) -> List[List[Tuple[int, DiePopulation, int]]]:
-        size = self.chunk_size or max(1, -(-len(items) // (workers * 4)))
-        return [items[k:k + size] for k in range(0, len(items), size)]
 
     def _preflight_dies(
         self,
@@ -380,15 +342,23 @@ class WaferScreeningEngine:
     ) -> WaferScreenResult:
         """Screen every die of ``wafer`` on ``workers`` processes.
 
-        ``workers=1`` runs serially in-process.  Results are
-        bit-identical across worker counts; only the wall time and the
-        process attribution of the telemetry change.  Dies the
+        ``workers`` is a positive int (numpy ints too); ``workers=1``
+        runs serially in-process.  Results are bit-identical across
+        worker counts; only the wall time and the process attribution
+        of the telemetry change.  Dies the
         pre-flight check rejects are dropped before dispatch -- on the
         serial path and the sharded path alike -- and keep a placeholder
         slot in ``per_die``.
         """
-        if workers < 1:
-            raise ValueError("workers must be positive")
+        if (
+            isinstance(workers, bool)
+            or not isinstance(workers, (int, np.integer))
+            or workers < 1
+        ):
+            raise ValueError(
+                f"workers must be a positive int, got {workers!r}"
+            )
+        workers = int(workers)
         start = time.perf_counter()
         tele = Telemetry()
         rejected: Dict[int, DiagnosticReport] = {}
@@ -425,8 +395,6 @@ class WaferScreeningEngine:
         workers: int,
         tele: Telemetry,
     ) -> Dict[int, FlowMetrics]:
-        chunks = self._chunks(items, workers)
-        indexed: Dict[int, FlowMetrics] = {}
         cascade_state = None
         if flow.cascade is not None:
             # One cascade characterization in the parent, shared by all
@@ -434,18 +402,18 @@ class WaferScreeningEngine:
             # preparations with a persistent cache are free).
             cascade_state = flow.cascade.prepare()
         current = get_cache()
-        shared_cache = (
-            current if isinstance(current, PersistentSolveCache) else None
+        recipe = _FlowRecipe(
+            self._flow_kwargs, flow.bands, cascade_state,
+            current if isinstance(current, PersistentSolveCache) else None,
         )
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(
-                self._flow_kwargs, flow.bands, cascade_state, shared_cache
-            ),
-        ) as pool:
-            for results, snapshot in pool.map(_screen_chunk, chunks):
+        indexed: Dict[int, FlowMetrics] = {}
+        with process_pool(workers) as pool:
+            futures = [
+                (i, pool.submit(run_scoped, _screen_die, recipe, die, seed))
+                for i, die, seed in items
+            ]
+            for i, future in futures:
+                metrics, snapshot = future.result()
                 tele.merge(snapshot)
-                for index, metrics in results:
-                    indexed[index] = metrics
+                indexed[i] = metrics
         return indexed

@@ -274,6 +274,46 @@ class TestProcessWorkerSurface:
         assert result.diagnostics == []
 
 
+class TestFleetConstructor:
+    """Pools built by the package's one fleet constructor are boundaries."""
+
+    FLEET_IMPORT = "from repro.service.procworker import process_pool\n"
+
+    def test_lambda_to_fleet_pool_submit(self, lint_source):
+        result = lint_source(
+            self.FLEET_IMPORT +
+            "def run(items):\n"
+            "    with process_pool(2) as pool:\n"
+            "        return [pool.submit(lambda: i) for i in items]\n",
+        )
+        assert rules_of(result) == ["PKL001"]
+
+    def test_closure_through_run_scoped(self, lint_source):
+        result = lint_source(
+            self.FLEET_IMPORT +
+            "from repro.service.procworker import run_scoped\n"
+            "def run(die):\n"
+            "    def screen(d):\n"
+            "        return d\n"
+            "    with process_pool(2) as pool:\n"
+            "        return pool.submit(run_scoped, screen, die)\n",
+        )
+        assert rules_of(result) == ["PKL001"]
+        assert result.diagnostics[0].nodes == ("screen",)
+
+    def test_module_level_task_is_clean(self, lint_source):
+        result = lint_source(
+            self.FLEET_IMPORT +
+            "from repro.service.procworker import run_scoped\n"
+            "def screen(die):\n"
+            "    return die\n"
+            "def run(dies):\n"
+            "    with process_pool(2) as pool:\n"
+            "        return [pool.submit(run_scoped, screen, d) for d in dies]\n",
+        )
+        assert result.diagnostics == []
+
+
 class TestScoping:
     def test_thread_pool_is_not_a_pickle_boundary(self, lint_source):
         result = lint_source(

@@ -25,7 +25,6 @@ import pytest
 from repro.spice.cache import (
     PersistentSolveCache,
     fingerprint,
-    install_cache,
     memoize,
     use_cache,
 )
@@ -231,11 +230,7 @@ class TestLifecycle:
             assert memoize("key", lambda: 5.0) == 5.0
             assert memoize("key", lambda: 99.0) == 5.0
             assert cache.hits == 1
-        # install_cache is the worker-process path: permanent swap,
-        # returning the previous cache so tests can restore it.
-        fresh = PersistentSolveCache(path)
-        previous = install_cache(fresh)
-        try:
+        # The wafer worker path: a fresh instance on the same path,
+        # scoped around the task.
+        with use_cache(PersistentSolveCache(path)):
             assert memoize("key", lambda: 99.0) == 5.0  # disk hit
-        finally:
-            install_cache(previous)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cascade.policy import CascadeConfig
 from repro.core.engines import registry as engine_registry
-from repro.spice.cache import SolveCache, use_cache
+from repro.spice.cache import PersistentSolveCache, SolveCache, use_cache
 from repro.workloads.flow import FlowMetrics, ScreeningFlow
 from repro.workloads.generator import DefectStatistics
 from repro.workloads.wafer import (
@@ -102,18 +102,12 @@ class TestWaferScreeningEngine:
 
     def test_sharded_matches_serial_bit_for_bit(self, wafer):
         serial = make_engine().screen(wafer, workers=1)
-        sharded = make_engine(chunk_size=2).screen(wafer, workers=2)
+        sharded = make_engine().screen(wafer, workers=2)
         assert sharded.workers == 2
         for a, b in zip(serial.per_die, sharded.per_die):
             assert a.as_row() == b.as_row()
             assert a.detected_by_kind == b.detected_by_kind
             assert a.escaped_by_kind == b.escaped_by_kind
-
-    def test_chunking_does_not_change_results(self, wafer):
-        one = make_engine(chunk_size=1).screen(wafer, workers=2)
-        big = make_engine(chunk_size=4).screen(wafer, workers=2)
-        assert [m.as_row() for m in one.per_die] == \
-            [m.as_row() for m in big.per_die]
 
     def test_worker_telemetry_is_merged(self, wafer):
         result = make_engine().screen(wafer, workers=2)
@@ -140,16 +134,20 @@ class TestWaferScreeningEngine:
         assert warm.cache_hit_rate == 1.0
 
     def test_rejects_bad_worker_count(self, wafer):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="workers"):
             make_engine().screen(wafer, workers=0)
 
-    @pytest.mark.parametrize("chunk_size", [-1, 0, 2.5, True, "2"])
-    def test_rejects_bad_chunk_size_at_construction(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size"):
-            make_engine(chunk_size=chunk_size)
+    @pytest.mark.parametrize("workers", [-1, 0, 2.5, True, "2"])
+    def test_rejects_bad_workers(self, wafer, workers):
+        # Rejected up front, before characterization or preflight.
+        engine = make_engine()
+        with pytest.raises(ValueError, match="workers"):
+            engine.screen(wafer, workers=workers)
+        assert engine._flow is None
 
-    def test_accepts_numpy_chunk_size(self):
-        assert make_engine(chunk_size=np.int64(3)).chunk_size == 3
+    def test_accepts_numpy_workers(self, wafer):
+        result = make_engine().screen(wafer, workers=np.int64(1))
+        assert result.workers == 1 and type(result.workers) is int
 
     def test_flow_rejects_incomplete_bands(self):
         engine = make_engine()
@@ -192,6 +190,50 @@ class TestCascadeStageNames:
         assert "cascade.stage.analytic" in self._stage_counters(serial)
 
 
+class TestShardedCacheScopes:
+    """Sharded screens and the solve cache the caller scoped."""
+
+    @staticmethod
+    def _engine():
+        return make_engine(
+            fidelity="cascade",
+            cascade=CascadeConfig(
+                escalation=("analytic",),
+                stage_characterization_samples=40,
+            ),
+            measurement_variation=None,
+        )
+
+    def test_persistent_cache_is_shared_with_workers(self, wafer, tmp_path):
+        serial = self._engine().screen(wafer, workers=1)
+        with use_cache(PersistentSolveCache(tmp_path / "shared.sqlite")):
+            cold = self._engine().screen(wafer, workers=2)
+            warm = self._engine().screen(wafer, workers=2)
+        assert cold.counter("cache_misses") > 0
+        # Every lookup of the second screen -- parent and workers alike
+        # -- is served from what the first one stored on disk.
+        assert warm.counter("cache_misses") == 0
+        assert warm.counter("cache_hits") == (
+            cold.counter("cache_hits") + cold.counter("cache_misses")
+        )
+        for result in (cold, warm):
+            assert [m.as_row() for m in result.per_die] == \
+                [m.as_row() for m in serial.per_die]
+
+    def test_workers_do_not_outlive_the_call(self, wafer):
+        # Workers fork from the caller's cache scope and exit with the
+        # call: a second screen in the same scope starts from the same
+        # parent cache and must not hit worker-side memos of the first.
+        with use_cache(SolveCache()):
+            engine = self._engine()
+            engine.flow.cascade.prepare()
+            first = engine.screen(wafer, workers=2)
+            second = engine.screen(wafer, workers=2)
+        assert first.counter("cache_misses") > 0
+        for name in ("cache_hits", "cache_misses"):
+            assert second.counter(name) == first.counter(name)
+
+
 class TestPreflightRejection:
     def _poisoned_wafer(self, bad_die=2):
         import dataclasses
@@ -229,7 +271,7 @@ class TestPreflightRejection:
     def test_sharded_rejection_matches_serial(self):
         wafer = self._poisoned_wafer()
         serial = make_engine().screen(wafer, workers=1)
-        sharded = make_engine(chunk_size=2).screen(wafer, workers=2)
+        sharded = make_engine().screen(wafer, workers=2)
         assert list(sharded.rejected) == list(serial.rejected)
         assert [m.as_row() for m in sharded.per_die] == \
             [m.as_row() for m in serial.per_die]
