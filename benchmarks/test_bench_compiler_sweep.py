@@ -70,7 +70,7 @@ def run_policy(engine, requests, coalesce):
             async with ScreeningService(
                 engine=engine, coalesce=coalesce,
                 max_queue_depth=NUM_REQUESTS,
-                batch_window_s=0.05, max_batch_size=NUM_REQUESTS,
+                max_batch_size=NUM_REQUESTS,
             ) as service:
                 futures = [await service.enqueue(r) for r in requests]
                 return list(await asyncio.gather(*futures))

@@ -68,7 +68,7 @@ def run_policy(engine, requests, coalesce):
             async with ScreeningService(
                 engine=engine, coalesce=coalesce,
                 max_queue_depth=NUM_REQUESTS,
-                batch_window_s=0.05, max_batch_size=MAX_BATCH,
+                max_batch_size=MAX_BATCH,
             ) as service:
                 futures = [await service.enqueue(r) for r in requests]
                 return list(await asyncio.gather(*futures))

@@ -9,7 +9,7 @@ shape of a tester re-probing a few suspect sites -- and compares:
 * **serial baseline** -- one ``engine.measure`` call per request, the
   one-request-per-solve deployment;
 * **screening service** -- the same 64 requests through the async
-  pipeline with micro-batching (closed loop, 64 clients).
+  pipeline with pickup batching (closed loop, 64 clients).
 
 Asserted claims: the service is >= 3x faster at 64-way concurrency,
 every answer is *bit-identical* to the serial baseline, and batching
@@ -66,7 +66,7 @@ def test_bench_service_throughput(benchmark):
         async def full():
             async with ScreeningService(
                 engine=engine, max_queue_depth=NUM_REQUESTS,
-                batch_window_s=0.05, max_batch_size=MAX_BATCH,
+                max_batch_size=MAX_BATCH,
             ) as service:
                 futures = [
                     await service.enqueue(r) for r in requests
@@ -95,7 +95,7 @@ def test_bench_service_throughput(benchmark):
     table.add_row(["serial (one solve per request)",
                    format_seconds(t_serial),
                    f"{NUM_REQUESTS / t_serial:.1f}", "1.0x"])
-    table.add_row(["service (micro-batched)",
+    table.add_row(["service (pickup-batched)",
                    format_seconds(t_service),
                    f"{NUM_REQUESTS / t_service:.1f}", f"{speedup:.1f}x"])
     table.print()
@@ -132,7 +132,7 @@ def test_bench_service_throughput(benchmark):
     print(f"wrote BENCH_service.json (speedup {speedup:.2f}x, "
           f"p99 {format_seconds(payload['latency_s']['p99'])})")
 
-    # The serving claim: micro-batching amortizes >= 3x at 64-way
+    # The serving claim: pickup batching amortizes >= 3x at 64-way
     # concurrency, without changing a single bit of the answers.
     assert identical, "service answers diverged from serial baseline"
     assert speedup >= 3.0, f"speedup {speedup:.2f}x < 3x"
@@ -144,7 +144,7 @@ def test_bench_service_throughput(benchmark):
 
     async def small_pass():
         async with ScreeningService(
-            engine=engine, batch_window_s=0.02, max_batch_size=8,
+            engine=engine, max_batch_size=8,
         ) as service:
             return await service.submit_many(small)
 

@@ -72,7 +72,6 @@ def service_config(transport: str, **overrides) -> ServiceConfig:
         engine=spec,
         transport=transport,
         num_workers=min(4, os.cpu_count() or 1),
-        batch_window_s=0.01,
         max_batch_size=8,
         max_queue_depth=64,
     )

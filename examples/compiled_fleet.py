@@ -80,7 +80,7 @@ def serve_fleet() -> None:
         async with ScreeningService(
             engine=engine, coalesce="family",
             max_queue_depth=NUM_REQUESTS,
-            batch_window_s=0.05, max_batch_size=NUM_REQUESTS,
+            max_batch_size=NUM_REQUESTS,
         ) as service:
             futures = [await service.enqueue(r) for r in requests]
             return list(await asyncio.gather(*futures))

@@ -1,4 +1,4 @@
-"""Serving screening requests: the async service with micro-batching.
+"""Serving screening requests: the async service with pickup batching.
 
 A tester that probes many TSVs concurrently should not pay for one
 transient solve per request: requests that share an engine setup,
@@ -8,7 +8,8 @@ solve.  This example stands up the in-process
 requests for a handful of suspect TSVs at two supplies, and shows:
 
 * every request gets a typed response with a per-stage latency split
-  (queue wait / batch forming / solve / post-processing);
+  (queue wait / pending until a worker picks it up / solve /
+  post-processing);
 * compatible requests coalesced (batch sizes above 1) -- while the
   answers stay bit-identical to one-at-a-time ``engine.measure`` calls;
 * a deadline turns a too-slow answer into a structured ``EXPIRED``
@@ -55,7 +56,7 @@ async def serve() -> None:
 
     with use_telemetry() as telemetry:
         async with ScreeningService(
-            engine=engine, batch_window_s=0.02, max_batch_size=16,
+            engine=engine, max_batch_size=16,
         ) as service:
             responses = await service.submit_many(
                 [request for _, request in labelled]

@@ -1,11 +1,13 @@
-"""Async screening service with micro-batching and admission control.
+"""Async screening service with pickup batching and admission control.
 
 This package serves online pre-bond screening requests on top of the
-batch-mode measurement engines: requests are admitted through a bounded
-queue (backpressure or load-shedding), dynamically micro-batched by
-engine compatibility key so concurrent requests share one stacked
-Monte-Carlo solve, scheduled deadline-aware, and answered with typed
-responses carrying per-stage latency breakdowns.  Solves run on a
+batch-mode measurement engines: requests are admitted against a bounded
+backlog (backpressure or load-shedding) and wait in one priority- and
+deadline-ordered pending queue; a free worker picks up the most urgent
+request together with every pending request sharing its engine
+compatibility key, so concurrent requests share one stacked Monte-Carlo
+solve.  Every request is answered with a typed response carrying its
+per-stage latency breakdown.  Solves run on a
 configurable transport: in-process worker threads (default) or worker
 processes fed through shared-memory arenas
 (``ServiceConfig(transport="process")``).
@@ -23,7 +25,7 @@ See ``DESIGN.md`` section 3.5 for the pipeline architecture.
 
 from repro.service.admission import AdmissionPolicy, AdmissionQueue
 from repro.service.arena import Arena, ArenaHandle, ArenaLeakError
-from repro.service.batcher import Batch, DispatchQueue, MicroBatcher
+from repro.service.batcher import DispatchQueue
 from repro.service.request import (
     ResponseStatus,
     ScreenRequest,
@@ -50,10 +52,8 @@ __all__ = [
     "Arena",
     "ArenaHandle",
     "ArenaLeakError",
-    "Batch",
     "DispatchQueue",
     "EngineCache",
-    "MicroBatcher",
     "ProcessTransport",
     "ResponseStatus",
     "ScreenRequest",

@@ -1,39 +1,35 @@
-"""Bounded admission queue with backpressure and load-shedding.
+"""Admission control: the bound on the backlog, backpressure, shedding.
 
-The first stage of the service pipeline: every submitted request lands
-here (or is turned away here), so this queue is where overload policy
+The first stage of the service pipeline: every submitted request is
+admitted here (or turned away here), so this is where overload policy
 lives.  Two policies:
 
-* ``BLOCK`` -- ``put`` awaits until the queue has room (backpressure:
-  closed-loop producers slow down to the service's pace);
-* ``SHED`` -- a full queue turns the request away immediately and the
+* ``BLOCK`` -- ``admit`` awaits until the backlog has room
+  (backpressure: closed-loop producers slow down to the service's
+  pace);
+* ``SHED`` -- a full backlog turns the request away immediately and the
   caller answers it with a structured ``REJECTED`` response (open-loop
   producers cannot be slowed, so excess load must be dropped at the
   door before it costs a solve).
 
-``max_depth`` bounds the service's *standing backlog*, not just this
-deque: an admitted request holds its admission slot until its response
-future resolves (the slot releases via a done-callback attached at
-``put``).  Without that, the micro-batcher's greedy drain would empty
-the deque instantly and overload would pile up invisibly -- and
-unboundedly -- in forming groups and the dispatch heap instead of
-shedding at the door.
+``max_depth`` bounds the service's *standing backlog*: an admitted
+request holds its slot until its response future resolves (the slot
+releases via a done-callback attached at ``admit``), whether it is
+still pending in the :class:`~repro.service.batcher.DispatchQueue` or
+already solving.  Admission holds no requests itself -- an admitted
+entry goes straight to the dispatch queue.
 
-The implementation is a deque guarded by a pair of ``asyncio.Event``s
-rather than an ``asyncio.Queue``: the micro-batcher needs a synchronous
-``get_nowait`` drain (to coalesce a burst without timer churn), and a
-close() that wakes *both* blocked producers and the consumer -- neither
-of which ``asyncio.Queue`` offers.  All mutation happens on the event
-loop thread; the wait loops re-check their condition after every wake,
-so spurious wakeups are harmless.
+The wait uses an ``asyncio.Event`` rather than a semaphore so that
+``close`` can wake every blocked producer at once.  All mutation happens
+on the event loop thread; the wait loop re-checks its condition after
+every wake, so spurious wakeups are harmless.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from enum import Enum
-from typing import Deque, Optional, Union
+from typing import Union
 
 from repro.service.request import PendingEntry
 
@@ -41,7 +37,7 @@ __all__ = ["AdmissionPolicy", "AdmissionQueue"]
 
 
 class AdmissionPolicy(Enum):
-    """What a full admission queue does to the next request."""
+    """What a full backlog does to the next request."""
 
     BLOCK = "block"
     SHED = "shed"
@@ -54,22 +50,17 @@ class AdmissionPolicy(Enum):
 
 
 class AdmissionQueue:
-    """Bounded FIFO of admitted requests, closable from either side."""
+    """Counts admitted-but-unanswered requests against a bound."""
 
     def __init__(self, max_depth: int, policy: AdmissionPolicy):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
         self.policy = policy
-        self._items: Deque[PendingEntry] = deque()
-        self._not_empty = asyncio.Event()
         self._space = asyncio.Event()
         self._closed = False
         #: Admitted-but-unanswered requests (the bounded quantity).
         self._in_flight = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     @property
     def in_flight(self) -> int:
@@ -79,11 +70,11 @@ class AdmissionQueue:
     def closed(self) -> bool:
         return self._closed
 
-    async def put(self, entry: PendingEntry) -> bool:
-        """Admit ``entry``; False when shed or the queue is closed.
+    async def admit(self, entry: PendingEntry) -> bool:
+        """Count ``entry`` in; False when shed or closed.
 
         Under ``BLOCK`` this awaits space (and still returns False if
-        the queue closes while waiting); under ``SHED`` a full queue
+        admission closes while waiting); under ``SHED`` a full backlog
         answers False immediately.
         """
         while True:
@@ -92,8 +83,6 @@ class AdmissionQueue:
             if self._in_flight < self.max_depth:
                 self._in_flight += 1
                 entry.future.add_done_callback(self._release)
-                self._items.append(entry)
-                self._not_empty.set()
                 return True
             if self.policy is AdmissionPolicy.SHED:
                 return False
@@ -105,24 +94,7 @@ class AdmissionQueue:
         self._in_flight -= 1
         self._space.set()
 
-    async def get(self) -> Optional[PendingEntry]:
-        """Next admitted entry; None once closed *and* drained."""
-        while True:
-            if self._items:
-                return self._items.popleft()
-            if self._closed:
-                return None
-            self._not_empty.clear()
-            await self._not_empty.wait()
-
-    def get_nowait(self) -> Optional[PendingEntry]:
-        """Synchronous drain step: next entry, or None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
     def close(self) -> None:
-        """Stop admitting; wakes blocked producers and the consumer."""
+        """Stop admitting; wakes every blocked producer."""
         self._closed = True
-        self._not_empty.set()
         self._space.set()

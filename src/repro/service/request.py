@@ -112,8 +112,9 @@ class StageLatency:
     """Where one request's wall time went, stage by stage.
 
     ``queue_wait_s`` covers admission (including backpressure blocking)
-    until the micro-batcher claimed the request; ``batch_form_s`` covers
-    batch forming plus dispatch-queue residency; ``solve_s`` is the
+    until the request joined the pending queue; ``batch_form_s`` is the
+    time it spent pending there until a worker picked it up and its
+    solve started; ``solve_s`` is the
     shared engine solve of the request's batch; ``transport_s`` the
     serialize/deserialize cost of shipping the batch to its worker
     (zero on the in-process thread transport); ``post_s`` the result
@@ -163,10 +164,10 @@ class ScreenResponse:
 class PendingEntry:
     """Service-internal state of one in-flight request.
 
-    Not part of the public surface: created at admission, carried
-    through the queue, the micro-batcher, and the worker pool, and
-    completed exactly once (whoever resolves the future first wins --
-    the deadline watchdog races the solve by design).
+    Not part of the public surface: created at admission, pending in
+    the dispatch queue until a worker picks it up, and completed
+    exactly once (whoever resolves the future first wins -- the
+    deadline watchdog races the solve by design).
     """
 
     seq: int
@@ -179,7 +180,7 @@ class PendingEntry:
     deadline_at: float  # math.inf when the request has no deadline
     #: Exact batch key (engine fingerprint incl. circuit content); kept
     #: alongside ``key`` -- which may be the coarser family key -- so
-    #: workers can report how many exact groups a flushed batch spans.
+    #: workers can report how many exact groups a picked-up batch spans.
     exact_key: Optional[str] = None
     #: Picklable recipe of ``engine``; set at admission when the service
     #: runs the process transport (which ships specs, never engines).

@@ -1,17 +1,18 @@
-"""The asyncio screening service: admission -> micro-batcher -> workers.
+"""The asyncio screening service: admission -> pending queue -> workers.
 
 :class:`ScreeningService` turns the repo's batch-mode measurement stack
 into an online request/response system.  One instance owns the whole
 pipeline::
 
-    submit() --> AdmissionQueue --> MicroBatcher --> DispatchQueue
-                 (bounded;          (coalesce by      (priority +
-                  block or shed)     compatibility     earliest-deadline
-                                     key, window)      order)
+    submit() --> AdmissionQueue --> DispatchQueue --> WorkerPool
+                 (bounds the        (pending entries  (a free worker takes
+                  backlog; block     in priority +     the most urgent entry
+                  or shed)           earliest-deadline and its same-key
+                                     order)            mates; thread or
+                                                       process transport,
+                                                       retry-once)
                                                           |
-                 response future  <--  WorkerPool  <------+
-                                       (thread or process transport,
-                                        retry-once, telemetry)
+                 response future  <-----------------------+
 
 The worker pool solves through a configurable transport
 (:attr:`ServiceConfig.transport`): ``"thread"`` keeps every solve
@@ -44,7 +45,7 @@ from repro.core.engines.registry import (
     as_engine_factory,
 )
 from repro.service.admission import AdmissionPolicy, AdmissionQueue
-from repro.service.batcher import DispatchQueue, MicroBatcher
+from repro.service.batcher import DispatchQueue
 from repro.service.request import (
     PendingEntry,
     ResponseStatus,
@@ -78,13 +79,10 @@ class ServiceConfig:
             standing backlog.
         admission: Full-queue policy: ``"block"`` (backpressure) or
             ``"shed"`` (structured rejection).
-        batch_window_s: How long a forming batch waits for coalescing
-            partners before it is dispatched anyway.
-        max_batch_size: Corner-stacking cap per dispatched batch.
+        max_batch_size: Cap on the requests a free worker picks up as
+            one batch.
         num_workers: Concurrent batch solves (worker coroutines and
             executor threads or processes).
-        deadline_slack_s: Dispatch a batch early when a member deadline
-            comes within this margin.
         transport: Where solves run: ``"thread"`` (default) keeps them
             in-process; ``"process"`` ships batches to worker processes
             over shared-memory arenas (requests must resolve to
@@ -110,10 +108,8 @@ class ServiceConfig:
     engine: EngineLike = "stagedelay"
     max_queue_depth: int = 256
     admission: Union[AdmissionPolicy, str] = AdmissionPolicy.BLOCK
-    batch_window_s: float = 0.005
     max_batch_size: int = 32
     num_workers: int = 2
-    deadline_slack_s: float = 0.0
     coalesce: str = "family"
     transport: str = "thread"
     engine_cache_size: int = 64
@@ -165,7 +161,6 @@ class ScreeningService:
         self._closing = False
         self._admission: Optional[AdmissionQueue] = None
         self._dispatch: Optional[DispatchQueue] = None
-        self._batcher_task: Optional["asyncio.Task[None]"] = None
         self._workers: Optional[WorkerPool] = None
         self._transport: Optional[WorkerTransport] = None
         self._transport_kind = ""
@@ -209,15 +204,7 @@ class ScreeningService:
             return
         cfg = self.config
         self._admission = AdmissionQueue(cfg.max_queue_depth, self._policy)
-        self._dispatch = DispatchQueue()
-        batcher = MicroBatcher(
-            self._admission,
-            self._dispatch,
-            batch_window_s=cfg.batch_window_s,
-            max_batch_size=cfg.max_batch_size,
-            deadline_slack_s=cfg.deadline_slack_s,
-            clock=self._clock,
-        )
+        self._dispatch = DispatchQueue(cfg.max_batch_size, self._clock)
         self._transport_kind = self._resolve_transport_kind()
         self._transport = make_transport(
             self._transport_kind,
@@ -231,10 +218,6 @@ class ScreeningService:
             num_workers=cfg.num_workers,
             clock=self._clock,
         )
-        loop = asyncio.get_running_loop()
-        self._batcher_task = loop.create_task(
-            batcher.run(), name="repro-service-batcher"
-        )
         self._workers.start()
         self._closing = False
         self._started = True
@@ -243,7 +226,7 @@ class ScreeningService:
         """Stop the pipeline.
 
         With ``drain`` (the default), everything already admitted is
-        batched, solved, and answered before the workers exit --
+        solved and answered before the workers exit --
         graceful shutdown.  Without it, every request still in flight is
         answered ``REJECTED`` (reason ``"service shutdown"``) instead of
         solved; a solve already running on the executor finishes but its
@@ -265,9 +248,6 @@ class ScreeningService:
         if not drain:
             for entry in list(self._inflight.values()):
                 self._reject(entry, "service shutdown")
-        if self._batcher_task is not None:
-            await self._batcher_task
-            self._batcher_task = None
         self._dispatch.close(self._workers.num_workers)
         await self._workers.join()
         await self._transport.close()
@@ -293,6 +273,7 @@ class ScreeningService:
         if not self._started:
             raise RuntimeError("service not started (use 'async with')")
         assert self._admission is not None
+        assert self._dispatch is not None
         tele = get_telemetry()
         tele.incr("service.submitted")
         loop = asyncio.get_running_loop()
@@ -358,8 +339,9 @@ class ScreeningService:
             entry.watchdog = loop.call_later(
                 request.deadline_s, self._expire, entry
             )
-        admitted = await self._admission.put(entry)
-        if not admitted:
+        if await self._admission.admit(entry):
+            self._dispatch.put(entry)
+        else:
             reason = (
                 "service shutting down" if self._admission.closed
                 else f"admission queue full "
@@ -379,7 +361,7 @@ class ScreeningService:
         """Admit all ``requests`` and await every response, in order.
 
         Under the ``BLOCK`` admission policy this is a closed-loop
-        producer: admission of request k+1 waits until the queue has
+        producer: admission of request k+1 waits until the backlog has
         room, while earlier requests batch and solve concurrently.
         """
         futures = [await self.enqueue(request) for request in requests]

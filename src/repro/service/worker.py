@@ -1,8 +1,9 @@
-"""Worker pool: execute dispatched batches and fan results back out.
+"""Worker pool: pick up batches, solve them, fan results back out.
 
-The last stage of the service pipeline.  Each worker coroutine pulls
-the most urgent batch from the dispatch queue and hands its coalesced
-solve to the configured :class:`WorkerTransport`:
+The last stage of the service pipeline.  Each free worker coroutine
+picks up a batch from the dispatch queue -- the most urgent pending
+request and its same-key mates (:mod:`repro.service.batcher`) -- and
+hands its coalesced solve to the configured :class:`WorkerTransport`:
 
 * :class:`ThreadTransport` runs ``measure_batch`` on a thread-pool
   executor in-process -- the original behavior, zero serialization
@@ -37,7 +38,7 @@ request whose deadline fires mid-solve is answered ``EXPIRED``
 immediately (the solve's late result is discarded on arrival, even
 when a worker process is still computing it), so a slow or hung engine
 can never turn a deadline into a hang.  Workers additionally shed
-already-expired entries *before* paying for their solve.
+already-answered entries at pickup, *before* paying for their solve.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.service.arena import (
     dump,
     ndarray_at,
 )
-from repro.service.batcher import Batch, DispatchQueue
+from repro.service.batcher import DispatchQueue
 from repro.service.procworker import (
     ResultRow,
     process_pool,
@@ -83,7 +84,7 @@ __all__ = [
 
 
 class WorkerTransport(Protocol):
-    """Where a dispatched batch's ``measure_batch`` actually runs.
+    """Where a picked-up batch's ``measure_batch`` actually runs.
 
     ``solve`` returns the per-entry results *plus* the transport's own
     serialize/deserialize seconds (zero for in-process backends), so
@@ -322,10 +323,8 @@ class WorkerPool:
             entry.attempts += 1
         return await self._transport.solve(entries)
 
-    async def _execute(self, batch: Batch) -> None:
-        live = [e for e in batch.entries if not e.future.done()]
-        if not live:
-            return
+    async def _execute(self, live: List[PendingEntry]) -> None:
+        """Solve one picked-up batch (every entry still unanswered)."""
         tele = get_telemetry()
         now = self._clock()
         for entry in live:

@@ -99,8 +99,11 @@ class BatchParameters:
         because the Newton masking and the batched LAPACK solve are
         per-corner independent.  (The stepper's global bisection retry
         and the DC gmin ladder are batch-composition dependent, but they
-        only engage on convergence failure -- callers that need strict
-        identity under failure re-solve parts individually.)
+        only engage on convergence failure: callers that need identity
+        under failure run the stacked transient with ``strict=True`` and
+        re-solve parts individually on
+        :class:`~repro.spice.mna.ConvergenceError`, as
+        ``StageDelayEngine.measure_batch`` does.)
 
         All parts must override the same mosfet arrays and the same
         resistor/capacitor names; mixing overridden and nominal parts

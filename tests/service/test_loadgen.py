@@ -61,7 +61,7 @@ class TestRuns:
         async def scenario():
             with use_telemetry():
                 async with ScreeningService(
-                    engine=engine, batch_window_s=0.005,
+                    engine=engine,
                 ) as service:
                     return await gen.run_closed_loop(
                         service, num_requests=12, concurrency=4
@@ -86,7 +86,7 @@ class TestRuns:
             with use_telemetry():
                 async with ScreeningService(
                     engine=engine, admission="shed", max_queue_depth=2,
-                    batch_window_s=0.0, max_batch_size=1, num_workers=1,
+                    max_batch_size=1, num_workers=1,
                 ) as service:
                     return await gen.run_open_loop(
                         service, num_requests=20, rate_hz=2000.0

@@ -4,7 +4,8 @@ Under overload the service must *degrade structurally*: every request
 still gets exactly one typed response -- REJECTED at a full queue,
 EXPIRED at a blown deadline (promptly, even mid-solve), FAILED after
 the retry budget -- and graceful shutdown answers everything already
-admitted.  Stub engines with controllable delay/failure keep these
+admitted.  Batches form at pickup: a free worker takes the most urgent
+pending request and its pending same-key mates.  Stub engines with controllable delay/failure keep these
 tests independent of solver speed.
 """
 
@@ -29,6 +30,7 @@ from repro.service import (
     ResponseStatus,
     ScreenRequest,
     ScreeningService,
+    ServiceConfig,
 )
 from repro.telemetry import use_telemetry
 
@@ -101,6 +103,23 @@ class BrokenEngine(SleepyEngine):
         raise ValueError("no convergence at any composition")
 
 
+@dataclass
+class RecordingEngine(SleepyEngine):
+    """Records each solve's seeds; a request's ``key`` tag is its key."""
+
+    engine_name = "recording"
+    solves: List[List[int]] = field(default_factory=list)
+
+    def batch_key(self, request: MeasurementRequest) -> Optional[str]:
+        return request.tags.get("key", "same")
+
+    def measure_batch(
+        self, requests: Sequence[MeasurementRequest]
+    ) -> List[MeasurementResult]:
+        self.solves.append([r.seed for r in requests])
+        return super().measure_batch(requests)
+
+
 def request(**kwargs) -> ScreenRequest:
     kwargs.setdefault("tsv", Tsv())
     return ScreenRequest(**kwargs)
@@ -115,7 +134,7 @@ class TestAdmissionOverload:
             with use_telemetry() as telemetry:
                 async with ScreeningService(
                     engine=engine, admission="shed", max_queue_depth=2,
-                    batch_window_s=0.2, max_batch_size=2, num_workers=1,
+                    max_batch_size=2, num_workers=1,
                 ) as service:
                     # Burst far past depth without yielding: whatever
                     # does not fit must shed at the door.
@@ -147,7 +166,7 @@ class TestAdmissionOverload:
         async def scenario():
             async with ScreeningService(
                 engine=engine, admission=AdmissionPolicy.BLOCK,
-                max_queue_depth=2, batch_window_s=0.0, num_workers=1,
+                max_queue_depth=2, num_workers=1,
             ) as service:
                 return await service.submit_many(
                     [request(seed=i) for i in range(10)]
@@ -164,7 +183,7 @@ class TestDeadlines:
 
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.0, num_workers=1,
+                engine=engine, num_workers=1,
             ) as service:
                 start = time.monotonic()
                 response = await service.submit(
@@ -186,7 +205,7 @@ class TestDeadlines:
 
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.0, num_workers=1,
+                engine=engine, num_workers=1,
                 max_batch_size=1,
             ) as service:
                 first = await service.enqueue(request(seed=0))
@@ -207,7 +226,7 @@ class TestDeadlines:
 
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.0,
+                engine=engine,
             ) as service:
                 return await service.submit(request(deadline_s=5.0))
 
@@ -221,14 +240,14 @@ class TestShutdown:
 
         async def scenario():
             service = ScreeningService(
-                engine=engine, batch_window_s=0.1, num_workers=1,
+                engine=engine, num_workers=1,
             )
             await service.start()
             futures = [
                 await service.enqueue(request(seed=i)) for i in range(6)
             ]
-            # Close immediately: the batch window has not elapsed, so
-            # the requests are still forming -- drain must flush them.
+            # Close immediately: the requests are still pending, so
+            # drain must solve them before the workers exit.
             await service.close()
             return await asyncio.gather(*futures)
 
@@ -240,7 +259,7 @@ class TestShutdown:
 
         async def scenario():
             service = ScreeningService(
-                engine=engine, batch_window_s=5.0, num_workers=1,
+                engine=engine, num_workers=1,
             )
             await service.start()
             futures = [
@@ -276,7 +295,7 @@ class TestRetryOnce:
         async def scenario():
             with use_telemetry() as telemetry:
                 async with ScreeningService(
-                    engine=engine, batch_window_s=0.05, num_workers=1,
+                    engine=engine, num_workers=1,
                 ) as service:
                     responses = await service.submit_many(
                         [request(seed=i) for i in range(4)]
@@ -294,7 +313,7 @@ class TestRetryOnce:
 
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.0,
+                engine=engine,
             ) as service:
                 return await service.submit(request(seed=0))
 
@@ -303,3 +322,90 @@ class TestRetryOnce:
         assert "ValueError" in response.reason
         assert "no convergence" in response.reason
         assert response.attempts == 2
+
+
+class TestPickupBatching:
+    @staticmethod
+    def _run(engine, arrivals, **config):
+        """Occupy the one worker with seed 0, then enqueue ``arrivals``.
+
+        Each arrival is (request, seconds to wait before enqueueing it);
+        returns every response (seed 0's first) and the telemetry.
+        """
+
+        async def scenario():
+            with use_telemetry() as telemetry:
+                async with ScreeningService(
+                    engine=engine, num_workers=1, **config
+                ) as service:
+                    futures = [await service.enqueue(
+                        request(seed=0, tags={"key": "busy"})
+                    )]
+                    await asyncio.sleep(0.02)  # the worker picks it up
+                    for pending, wait_s in arrivals:
+                        await asyncio.sleep(wait_s)
+                        futures.append(await service.enqueue(pending))
+                    responses = await asyncio.gather(*futures)
+                return responses, telemetry.snapshot()
+
+        return asyncio.run(scenario())
+
+    def test_requests_arriving_during_a_solve_share_the_next(self):
+        """Four requests 20 ms apart behind a 0.2 s solve: one batch."""
+        engine = RecordingEngine(delay_s=0.2)
+        responses, snapshot = self._run(
+            engine, [(request(seed=i), 0.02) for i in range(1, 5)]
+        )
+        assert all(r.ok for r in responses)
+        assert [r.batch_size for r in responses] == [1, 4, 4, 4, 4]
+        assert snapshot["counters"]["service.batches"] == 2
+        assert engine.solves == [[0], [1, 2, 3, 4]]
+        # The later arrivals waited pending, not in admission.
+        assert all(r.latency.queue_wait_s < 0.01 for r in responses)
+        assert responses[1].latency.batch_form_s > 0.1
+
+    def test_priority_then_earliest_deadline(self):
+        engine = RecordingEngine(delay_s=0.1)
+        arrivals = [
+            request(seed=1, priority=1, tags={"key": "a"}),
+            request(seed=2, deadline_s=10.0, tags={"key": "b"}),
+            request(seed=3, tags={"key": "c"}),
+            request(seed=4, deadline_s=5.0, tags={"key": "d"}),
+            request(seed=5, priority=1, deadline_s=1.0, tags={"key": "e"}),
+        ]
+        responses, _ = self._run(engine, [(r, 0.0) for r in arrivals])
+        assert all(r.ok for r in responses)
+        assert engine.solves == [[0], [4], [2], [3], [5], [1]]
+
+    def test_mates_join_in_urgency_order_up_to_the_cap(self):
+        engine = RecordingEngine(delay_s=0.1)
+        arrivals = [
+            request(seed=1),
+            request(seed=2, tags={"key": "other"}),
+            request(seed=3, deadline_s=5.0),
+            request(seed=4),
+            request(seed=5, deadline_s=9.0),
+            request(seed=6, priority=1),
+        ]
+        responses, snapshot = self._run(
+            engine, [(r, 0.0) for r in arrivals], max_batch_size=3
+        )
+        assert all(r.ok for r in responses)
+        # Seed 3 is most urgent; its two most urgent mates join it.
+        assert engine.solves == [[0], [3, 5, 1], [2], [4, 6]]
+        assert max(r.batch_size for r in responses) == 3
+        assert snapshot["histograms"]["service.batch_occupancy"]["max"] == 3
+
+    @pytest.mark.parametrize("option", ["batch_window_s", "deadline_slack_s"])
+    def test_no_batching_window_options(self, option):
+        with pytest.raises(TypeError):
+            ServiceConfig(**{option: 0.0})
+
+    def test_cap_must_be_positive(self):
+        async def scenario():
+            async with ScreeningService(engine=SleepyEngine(),
+                                        max_batch_size=0):
+                pass
+
+        with pytest.raises(ValueError, match="max_batch_size"):
+            asyncio.run(scenario())

@@ -4,7 +4,7 @@ Three pins, in increasing strictness:
 
 * service answers reproduce the checked-in ``delta_t_parity.json``
   goldens through the solo (scalar) path;
-* micro-batched Monte-Carlo answers are *bit-identical* to serial
+* batched Monte-Carlo answers are *bit-identical* to serial
   ``engine.measure`` calls -- while provably coalescing (telemetry
   proves requests shared solves);
 * the service reproduces :meth:`ScreeningFlow._measure` bit-for-bit,
@@ -104,7 +104,7 @@ class TestBatchedBitIdentity:
 
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.02, max_batch_size=16
+                engine=engine, max_batch_size=16
             ) as service:
                 return await service.submit_many(self.requests())
 
@@ -141,7 +141,7 @@ class TestBatchedBitIdentity:
 
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.02
+                engine=engine
             ) as service:
                 return await service.submit_many(requests)
 
@@ -184,7 +184,7 @@ class TestFlowParity:
                 for tsv in tsvs for seed in range(3)
             ]
             async with ScreeningService(
-                engine=COARSE, batch_window_s=0.02
+                engine=COARSE
             ) as service:
                 return await service.submit_many(requests)
 
@@ -213,7 +213,7 @@ class TestCoalescePolicies:
     def run_policy(self, engine, coalesce):
         async def scenario():
             async with ScreeningService(
-                engine=engine, batch_window_s=0.02, coalesce=coalesce
+                engine=engine, coalesce=coalesce
             ) as service:
                 return await service.submit_many(self.requests())
 

@@ -173,7 +173,7 @@ class TestProcessFailureSemantics:
         async def scenario():
             async with ScreeningService(
                 engine=NapEngine(delay_s=0.5), transport="process",
-                batch_window_s=0.0, num_workers=1,
+                num_workers=1,
             ) as service:
                 start = time.monotonic()
                 response = await service.submit(request(deadline_s=0.05))
@@ -192,7 +192,7 @@ class TestProcessFailureSemantics:
             responses = run_service(
                 ServiceConfig(
                     engine=SplitterEngine(), transport="process",
-                    batch_window_s=0.05, num_workers=1,
+                    num_workers=1,
                 ),
                 [request(seed=i) for i in range(4)],
             )
@@ -221,7 +221,7 @@ class TestArenaHammer:
             responses = run_service(
                 ServiceConfig(
                     engine="analytic", transport="process", num_workers=4,
-                    max_queue_depth=48, batch_window_s=0.002,
+                    max_queue_depth=48,
                 ),
                 [
                     request(seed=i, num_samples=16, vdd=0.7 + 0.1 * (i % 3))
